@@ -61,9 +61,6 @@ class SaturationReport:
         claims.sort(key=lambda claim: claim.value, reverse=True)
         return cls(claims, span)
 
-    def by_mechanism(self, mechanism: str) -> list[SaturationClaim]:
-        return [c for c in self.claims if c.mechanism == mechanism]
-
     def render(self) -> str:
         if not self.claims:
             return "no saturation mechanisms detected"

@@ -16,74 +16,98 @@ Modelled behaviour, each piece tied to a paper observation:
   achieves the peak bandwidth").
 * Each hop adds a small pipeline latency, giving the small (<2 GB/s)
   distance dependence of Figure 10's experiment.
+
+Arbitration state
+-----------------
+
+Both engines share one arbitration state, kept as bitmasks.  Every ring
+segment (span) and every element has its own bit, so a ring's
+occupancy is one int of busy spans (``_occ``) plus a count of active
+transfers (``_nact``), and the busy on- and off-ramps are two ints
+(``_out``, ``_in``).  Mask disjointness is exactly span-set
+disjointness, and a busy-port probe is one AND.
+
+A request that cannot be granted waits in its *flow's* FIFO, one
+:class:`_Flow` per (src, dst) pair.  ``_heads`` lists the flows that
+have waiters, ordered by when each flow's oldest waiter (its head)
+arrived.  A drain scans only those heads.  This grants exactly what a
+FIFO scan over every waiter grants, in the same order:
+
+* within one drain the state only becomes more occupied (a drain
+  commits grants and releases nothing);
+* all waiters of a flow share its ports and candidate paths.  When the
+  head is granted, its source ramp stays busy for the rest of the
+  drain, so no later waiter of the flow can be granted in it; when the
+  head does not fit, no later waiter of the flow fits either.
+
+So a drain grants at most one waiter per flow, always the head, and the
+FIFO scan's grant order is the order of the heads' arrival.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import insort
 from collections import deque
-from dataclasses import dataclass
 from collections.abc import Generator
+from dataclasses import dataclass
+from operator import itemgetter
+from typing import Any
 
 from repro.cell.config import CellConfig
 from repro.cell.errors import ConfigError
 from repro.cell.topology import CLOCKWISE, COUNTERCLOCKWISE, RingTopology
 from repro.sim import BusyMonitor, Environment, Event
-from repro.sim.core import Completion
 from repro.sim.trace import EibGrant, EibRelease, EibTransfer, EibWait
 
 #: Extra CPU cycles of pipeline latency per hop travelled.
 HOP_LATENCY_CYCLES = 2
 
-
-@dataclass
-class TransferGrant:
-    """A committed reservation: one ring, a span set, both ports.
-
-    ``penalty_cycles`` is re-arbitration dead time attached when the
-    grant had to wait behind other requesters.
-    """
-
-    ring: Ring
-    spans: tuple[int, ...]
-    span_set: frozenset
-    src: str
-    dst: str
-    penalty_cycles: int = 0
-    committed_at: int = 0
+#: Elements whose bus interfaces stream across grant boundaries.
+_MEMORY_SIDE = ("MIC", "IOIF0", "IOIF1")
 
 
+@dataclass(frozen=True)
 class Ring:
-    """One data ring: a direction plus the set of active span sets."""
+    """One data ring: a name and a travel direction.  Its occupancy is
+    part of the bus's bitmask state."""
 
-    def __init__(self, name: str, direction: int, max_transfers: int):
-        self.name = name
-        self.direction = direction
-        self.max_transfers = max_transfers
-        self._active: list[frozenset] = []
-        self._occupied: set = set()
+    name: str
+    direction: int
 
-    @property
-    def active_transfers(self) -> int:
-        return len(self._active)
 
-    def can_accept(self, span_set: frozenset) -> bool:
-        """True when the ring has a free slot and no span overlaps."""
-        if len(self._active) >= self.max_transfers:
-            return False
-        return self._occupied.isdisjoint(span_set)
+class _Flow:
+    """One (src, dst) pair: its arbitration record and its waiters.
 
-    def add(self, span_set: frozenset) -> None:
-        if not self.can_accept(span_set):
-            raise ConfigError(f"ring {self.name} cannot accept {span_set}")
-        self._active.append(span_set)
-        self._occupied |= span_set
+    ``choices`` are the candidate paths in probe order, each ``(ring
+    index, span mask, ~span mask, hop latency cycles, spans)``; ``rate``
+    is the path rate in bytes per CPU cycle (the slower ramp's).
+    ``waiters`` holds ``(arrival number, waiter)`` pairs; a waiter is
+    anything with ``succeed(value)``, a reference-engine event or a
+    fast-engine actor.  ``contends`` memoises, per other flow, whether a
+    grant to this flow holds that flow up, per ring index."""
 
-    def remove(self, span_set: frozenset) -> None:
-        # Active span sets are pairwise disjoint (can_accept admits only
-        # disjoint sets), so subtraction equals rebuilding the union.
-        self._active.remove(span_set)
-        self._occupied -= span_set
+    __slots__ = (
+        "src", "dst", "choices", "rate", "srcbit", "dstbit", "memory_side",
+        "waiters", "contends",
+    )
+
+    def __init__(
+        self, src: str, dst: str, choices: tuple, rate: float, srcbit: int, dstbit: int
+    ):
+        self.src = src
+        self.dst = dst
+        self.choices = choices
+        self.rate = rate
+        self.srcbit = srcbit
+        self.dstbit = dstbit
+        self.memory_side = src in _MEMORY_SIDE or dst in _MEMORY_SIDE
+        self.waiters: deque[tuple[int, Any]] = deque()
+        self.contends: dict[_Flow, tuple[int, ...]] = {}
+
+
+def _head_arrival(flow: _Flow) -> int:
+    return flow.waiters[0][0]
 
 
 class Eib:
@@ -98,50 +122,35 @@ class Eib:
         self.env = env
         self.topology = topology
         self.config = config
-        self.rings: list[Ring] = []
-        for direction, label in ((CLOCKWISE, "cw"), (COUNTERCLOCKWISE, "ccw")):
-            for i in range(config.eib.rings_per_direction):
-                self.rings.append(
-                    Ring(f"{label}{i}", direction, config.eib.max_transfers_per_ring)
-                )
-        self._out_busy: dict[str, bool] = {node: False for node in topology.order}
-        self._in_busy: dict[str, bool] = {node: False for node in topology.order}
-        # Reference waiters are (Event, src, dst); coalescing-engine
-        # waiters are (actor, src, dst, leg).  Only one kind ever lives
-        # in the deque — an environment is wholly one engine.
-        self._waiters: deque[tuple] = deque()
-        self._span_sets: dict[tuple[str, str, int], frozenset] = {}
-        self._rates: dict[tuple[str, str], float] = {}
-        # Coalescing-engine memos: the pure-topology part of _try_grant
-        # and the chunk schedule of a transfer, keyed per path.  Both
-        # are derived from the same reference methods, so the *decision*
-        # tables cannot drift from the reference decision code.
-        self._fast_choices: dict[tuple[str, str], tuple] = {}
-        self._chunk_plans: dict[tuple[str, str, int], tuple] = {}
-        if env.coalescing:
-            # Bitmask twin of the arbitration state, one int op where the
-            # reference keeps sets and dicts.  Spans and nodes each get a
-            # unique bit, so mask disjointness is exactly frozenset
-            # disjointness and a busy-port probe is one AND.  The leg
-            # table folds choices, port bits, chunk plan and the
-            # memory-side flag into one tuple per (src, dst, nbytes).
-            self._fast_occ: list[int] = [0] * len(self.rings)
-            self._fast_nact: list[int] = [0] * len(self.rings)
-            self._fast_max: int = config.eib.max_transfers_per_ring
-            self._fast_out: int = 0
-            self._fast_in: int = 0
-            self._node_bits: dict[str, int] = {
-                node: 1 << i for i, node in enumerate(topology.order)
-            }
-            self._span_bits: dict = {}
-            self._fast_leg_memo: dict[tuple[str, str, int], tuple] = {}
-            self._fast_retry: int = config.eib.conflict_retry_cycles
-            self._contend_memo: dict[tuple, int] = {}
+        self.rings: list[Ring] = [
+            Ring(f"{label}{i}", direction)
+            for direction, label in ((CLOCKWISE, "cw"), (COUNTERCLOCKWISE, "ccw"))
+            for i in range(config.eib.rings_per_direction)
+        ]
+        # The arbitration state (see the module docstring).
+        self._occ: list[int] = [0] * len(self.rings)
+        self._nact: list[int] = [0] * len(self.rings)
+        self._max_transfers: int = config.eib.max_transfers_per_ring
+        self._out = 0
+        self._in = 0
+        self._node_bits: dict[str, int] = {
+            node: 1 << i for i, node in enumerate(topology.order)
+        }
+        self._span_bits: dict[int, int] = {}
+        self._flows: dict[tuple[str, str], _Flow] = {}
+        self._heads: list[_Flow] = []
+        self._arrivals = 0
+        self._retry: int = config.eib.conflict_retry_cycles
+        # The coalescing engine's whole-leg records, per (src, dst, nbytes).
+        self._legs: dict[tuple[str, str, int], tuple] = {}
         # Statistics the analysis layer reads.
         self.grants = 0
         self.conflicts = 0
         self.wait_cycles = 0
         self.bytes_moved = 0
+        # Ring occupancy monitors are reference-engine observability;
+        # the coalescing engine does not maintain them.
+        self._monitoring = not env.coalescing
         self.ring_monitors = {ring.name: BusyMonitor(env, ring.name) for ring in self.rings}
         self._trace = env.trace
         self._tracing = env.trace.enabled
@@ -160,17 +169,18 @@ class Eib:
             raise ConfigError(f"EIB transfer from {src!r} to itself")
         if nbytes <= 0:
             raise ConfigError(f"EIB transfer of {nbytes} bytes")
-        rate = self.fast_rate(src, dst)
+        flow = self._flow(src, dst)
         quantum = self.config.eib.grant_quantum_bytes
         remaining = nbytes
         while remaining > 0:
             chunk = min(remaining, quantum)
-            grant = yield from self._acquire(src, dst)
+            ri, notmask, latency, penalty = yield from self._acquire(flow)
+            committed_at = self.env.now
             duration = (
                 self.config.eib.arbitration_cycles
-                + grant.penalty_cycles
-                + len(grant.spans) * HOP_LATENCY_CYCLES
-                + math.ceil(chunk / rate)
+                + penalty
+                + latency
+                + math.ceil(chunk / flow.rate)
             )
             if self._faulting:
                 # Ring-segment degradation / grant starvation: the
@@ -180,7 +190,7 @@ class Eib:
                     duration += degraded
                     self.fault_cycles += degraded
             yield self.env.timeout(duration)
-            self._release(grant, chunk)
+            self._release(flow, ri, notmask, chunk, committed_at)
             remaining -= chunk
         self.bytes_moved += nbytes
         if self._tracing:
@@ -188,112 +198,53 @@ class Eib:
                 EibTransfer(ts=self.env.now, src=src, dst=dst, nbytes=nbytes)
             )
 
-    def fast_rate(self, src: str, dst: str) -> float:
-        """Path rate (bytes per CPU cycle), memoised per (src, dst) —
-        the coalescing engine asks once per chunk, so the two config
-        lookups would otherwise dominate."""
-        key = (src, dst)
-        rate = self._rates.get(key)
-        if rate is None:
-            rate = min(
-                self.config.node_rate_bytes_per_cpu_cycle(src),
-                self.config.node_rate_bytes_per_cpu_cycle(dst),
-            )
-            self._rates[key] = rate
-        return rate
-
-    def fast_path_choices(
-        self, src: str, dst: str
-    ) -> tuple[tuple[Ring, tuple, frozenset, int], ...]:
-        """The arbitration candidates for a path, in the exact order
-        :meth:`_try_grant` tries them: ``(ring, spans, span set, hop
-        latency cycles)`` per (direction, ring) pair.  Memoised — the
-        candidates are pure topology, only ring *occupancy* changes
-        over time, and grant checks probe that occupancy inline."""
-        key = (src, dst)
-        choices = self._fast_choices.get(key)
-        if choices is None:
-            built = []
-            for direction in self.topology.directions_by_distance(src, dst):
-                spans = self.topology.path(src, dst, direction)
-                if len(spans) > self.config.eib.max_hops:
-                    continue
-                span_set = self._span_set(src, dst, direction)
-                latency = len(spans) * HOP_LATENCY_CYCLES
-                for ring in self.rings:
-                    if ring.direction == direction:
-                        built.append((ring, spans, span_set, latency))
-            choices = tuple(built)
-            self._fast_choices[key] = choices
-        return choices
-
-    def fast_chunks(self, src: str, dst: str, nbytes: int) -> tuple[int, ...]:
-        """The grant-quantum chunk schedule of :meth:`transfer` as a
-        memoised tuple of per-chunk hold cycles (arbitration + data) —
-        the per-chunk ``min``/``ceil`` arithmetic is invariant per
-        (path, size), every chunk pays the same fixed arbitration cost,
-        and the chunk byte counts are not needed downstream (movers
-        account bytes from their own ``nbytes``), so only the cycle
-        totals are kept."""
-        key = (src, dst, nbytes)
-        plan = self._chunk_plans.get(key)
-        if plan is None:
-            rate = self.fast_rate(src, dst)
-            quantum = self.config.eib.grant_quantum_bytes
-            arbitration = self.config.eib.arbitration_cycles
-            built = []
-            remaining = nbytes
-            while remaining > 0:
-                chunk = min(remaining, quantum)
-                built.append(arbitration + math.ceil(chunk / rate))
-                remaining -= chunk
-            plan = tuple(built)
-            self._chunk_plans[key] = plan
-        return plan
-
     def fast_leg(self, src: str, dst: str, nbytes: int) -> tuple:
         """The coalescing engine's whole-leg record, memoised per
         (src, dst, nbytes)::
 
-            (choices, srcbit, ~srcbit, dstbit, ~dstbit, plan, memory_side)
+            (choices, srcbit, ~srcbit, dstbit, ~dstbit, plan, flow)
 
-        where ``choices`` is ``(ring index, span mask, ~span mask, hop
-        latency)`` per candidate in :meth:`fast_path_choices` order and
-        ``plan`` is :meth:`fast_chunks`.  Every mask is derived from the
-        reference span sets with one unique bit per span, so mask
-        disjointness *is* span-set disjointness — the decision table
-        cannot drift from the reference decision code."""
+        ``choices`` and the port bits are the :class:`_Flow`'s.
+        ``plan`` is :meth:`transfer`'s grant-quantum chunk schedule as
+        per-chunk hold cycles (arbitration + data): the per-chunk
+        arithmetic is invariant per (path, size), and movers account
+        bytes from their own ``nbytes``, so only cycle totals are kept."""
         key = (src, dst, nbytes)
-        leg = self._fast_leg_memo.get(key)
+        leg = self._legs.get(key)
         if leg is None:
-            span_bits = self._span_bits
-            built = []
-            for ring, _spans, span_set, latency in self.fast_path_choices(src, dst):
-                mask = 0
-                for span in span_set:
-                    bit = span_bits.get(span)
-                    if bit is None:
-                        bit = 1 << len(span_bits)
-                        span_bits[span] = bit
-                    mask |= bit
-                built.append((self.rings.index(ring), mask, ~mask, latency))
-            srcbit = self._node_bits[src]
-            dstbit = self._node_bits[dst]
-            memory_side = (
-                src in ("MIC", "IOIF0", "IOIF1")
-                or dst in ("MIC", "IOIF0", "IOIF1")
-            )
+            flow = self._flow(src, dst)
+            quantum = self.config.eib.grant_quantum_bytes
+            arbitration = self.config.eib.arbitration_cycles
+            plan = []
+            remaining = nbytes
+            while remaining > 0:
+                chunk = min(remaining, quantum)
+                plan.append(arbitration + math.ceil(chunk / flow.rate))
+                remaining -= chunk
             leg = (
-                tuple(built),
-                srcbit,
-                ~srcbit,
-                dstbit,
-                ~dstbit,
-                self.fast_chunks(src, dst, nbytes),
-                memory_side,
+                flow.choices,
+                flow.srcbit,
+                ~flow.srcbit,
+                flow.dstbit,
+                ~flow.dstbit,
+                tuple(plan),
+                flow,
             )
-            self._fast_leg_memo[key] = leg
+            self._legs[key] = leg
         return leg
+
+    def queued(self) -> list[tuple[str, str, Any]]:
+        """Every waiting request as ``(src, dst, waiter)``, in arrival
+        order."""
+        entries = sorted(
+            (
+                (arrival, flow, waiter)
+                for flow in self._heads
+                for arrival, waiter in flow.waiters
+            ),
+            key=itemgetter(0),
+        )
+        return [(flow.src, flow.dst, waiter) for _arrival, flow, waiter in entries]
 
     def utilization(self) -> dict[str, float]:
         """Busy fraction of each ring over the run so far."""
@@ -311,162 +262,164 @@ class Eib:
 
     # -- arbitration --------------------------------------------------------------
 
-    def _acquire(self, src: str, dst: str) -> Generator[Event, object, TransferGrant]:
-        grant = self._try_grant(src, dst)
-        if grant is not None:
-            self._commit(grant, immediate=True)
-            self.grants += 1
-            return grant
+    def _flow(self, src: str, dst: str) -> _Flow:
+        """The memoised flow record of a path.  Its candidates are pure
+        topology: every (direction, ring) pair within the hop limit,
+        shortest direction first."""
+        flow = self._flows.get((src, dst))
+        if flow is None:
+            span_bits = self._span_bits
+            choices = []
+            for direction in self.topology.directions_by_distance(src, dst):
+                spans = self.topology.path(src, dst, direction)
+                if len(spans) > self.config.eib.max_hops:
+                    continue
+                mask = 0
+                for span in spans:
+                    mask |= span_bits.setdefault(span, 1 << len(span_bits))
+                latency = len(spans) * HOP_LATENCY_CYCLES
+                for ri, ring in enumerate(self.rings):
+                    if ring.direction == direction:
+                        choices.append((ri, mask, ~mask, latency, spans))
+            rate = min(
+                self.config.node_rate_bytes_per_cpu_cycle(src),
+                self.config.node_rate_bytes_per_cpu_cycle(dst),
+            )
+            flow = _Flow(
+                src,
+                dst,
+                tuple(choices),
+                rate,
+                self._node_bits[src],
+                self._node_bits[dst],
+            )
+            self._flows[(src, dst)] = flow
+        return flow
+
+    def _acquire(self, flow: _Flow) -> Generator[Event, Any, tuple]:
+        """Wait for a path; returns ``(ring index, ~span mask, hop
+        latency, penalty)``."""
         self.grants += 1
+        choice = self._try_grant(flow)
+        if choice is not None:
+            self._commit(flow, choice)
+            ri, _mask, notmask, latency, _spans = choice
+            return ri, notmask, latency, 0
         self.conflicts += 1
         waiting = self.env.event()
-        self._waiters.append((waiting, src, dst))
+        self._enqueue(flow, waiting)
         started = self.env.now
         grant = yield waiting
         waited = self.env.now - started
         self.wait_cycles += waited
         if self._tracing:
             self._trace.emit(
-                EibWait(ts=self.env.now, src=src, dst=dst, cycles=waited)
+                EibWait(ts=self.env.now, src=flow.src, dst=flow.dst, cycles=waited)
             )
         return grant
 
-    def _span_set(self, src: str, dst: str, direction: int) -> frozenset:
-        key = (src, dst, direction)
-        cached = self._span_sets.get(key)
-        if cached is None:
-            cached = frozenset(self.topology.path(src, dst, direction))
-            self._span_sets[key] = cached
-        return cached
-
-    def _try_grant(self, src: str, dst: str) -> TransferGrant | None:
-        """Find a free path; does NOT commit resources.  Candidates come
-        from the memoised table (same order this method historically
-        built inline); only the occupancy probe runs per call."""
-        if self._out_busy[src] or self._in_busy[dst]:
+    def _try_grant(self, flow: _Flow) -> tuple | None:
+        """The first candidate path that fits now, or None; commits
+        nothing."""
+        if self._out & flow.srcbit or self._in & flow.dstbit:
             return None
-        for ring, spans, span_set, _latency in self.fast_path_choices(src, dst):
-            if (
-                len(ring._active) < ring.max_transfers
-                and ring._occupied.isdisjoint(span_set)
-            ):
-                return TransferGrant(
-                    ring=ring, spans=spans, span_set=span_set, src=src, dst=dst
-                )
+        occ = self._occ
+        nact = self._nact
+        for choice in flow.choices:
+            ri = choice[0]
+            if nact[ri] < self._max_transfers and not occ[ri] & choice[1]:
+                return choice
         return None
 
-    def _commit(self, grant: TransferGrant, immediate: bool) -> None:
-        grant.ring.add(grant.span_set)
-        self._out_busy[grant.src] = True
-        self._in_busy[grant.dst] = True
-        self.ring_monitors[grant.ring.name].acquire()
+    def _commit(self, flow: _Flow, choice: tuple) -> None:
+        """Book an immediately granted path and both of the flow's ports."""
+        ri, mask, _notmask, _latency, spans = choice
+        if self._nact[ri] >= self._max_transfers or self._occ[ri] & mask:
+            raise ConfigError(
+                f"ring {self.rings[ri].name} cannot accept spans {spans}"
+            )
+        self._occ[ri] |= mask
+        self._nact[ri] += 1
+        self._out |= flow.srcbit
+        self._in |= flow.dstbit
+        if self._monitoring:
+            self._note_grant(flow, ri, spans, immediate=True)
+
+    def _note_grant(self, flow: _Flow, ri: int, spans: tuple, immediate: bool) -> None:
+        """A commit's reference-engine observability: the ring's
+        occupancy monitor and the ``EibGrant`` trace record."""
+        ring = self.rings[ri].name
+        self.ring_monitors[ring].acquire()
         if self._tracing:
-            grant.committed_at = self.env.now
             self._trace.emit(
                 EibGrant(
                     ts=self.env.now,
-                    src=grant.src,
-                    dst=grant.dst,
-                    ring=grant.ring.name,
-                    spans=tuple(grant.spans),
+                    src=flow.src,
+                    dst=flow.dst,
+                    ring=ring,
+                    spans=spans,
                     immediate=immediate,
                 )
             )
 
-    def _release(self, grant: TransferGrant, nbytes: int = 0) -> None:
-        grant.ring.remove(grant.span_set)
-        self._out_busy[grant.src] = False
-        self._in_busy[grant.dst] = False
-        self.ring_monitors[grant.ring.name].release()
-        if self._tracing:
-            self._trace.emit(
-                EibRelease(
-                    ts=self.env.now,
-                    src=grant.src,
-                    dst=grant.dst,
-                    ring=grant.ring.name,
-                    nbytes=nbytes,
-                    start=grant.committed_at,
-                )
-            )
-        self._drain_waiters()
-
-    def _drain_waiters(self) -> None:
-        """Grant every queued request that now fits, in FIFO order.
-
-        Grants are committed here, before the waiting processes resume,
-        so two releases in the same cycle cannot double-book a path."""
-        waiters = self._waiters
-        if not waiters:
-            return
-        out_busy = self._out_busy
-        in_busy = self._in_busy
-        still_waiting: deque[tuple[Event, str, str]] = deque()
-        granted: list[tuple[Event, TransferGrant]] | None = None
-        while waiters:
-            waiter = waiters.popleft()
-            _event, src, dst = waiter
-            # The busy-port probe of _try_grant, open-coded: most queued
-            # flows fail right here (each commit below busies a port
-            # pair), and the probe is two dict hits.
-            if out_busy[src] or in_busy[dst]:
-                still_waiting.append(waiter)
-                continue
-            for ring, spans, span_set, _latency in self.fast_path_choices(
-                src, dst
-            ):
-                if (
-                    len(ring._active) < ring.max_transfers
-                    and ring._occupied.isdisjoint(span_set)
-                ):
-                    grant = TransferGrant(
-                        ring=ring, spans=spans, span_set=span_set, src=src, dst=dst
+    def _release(
+        self, flow: _Flow, ri: int, notmask: int, nbytes: int, committed_at: int
+    ) -> None:
+        """Free a granted path and its ports, then grant what now fits."""
+        self._occ[ri] &= notmask
+        self._nact[ri] -= 1
+        self._out &= ~flow.srcbit
+        self._in &= ~flow.dstbit
+        if self._monitoring:
+            ring = self.rings[ri].name
+            self.ring_monitors[ring].release()
+            if self._tracing:
+                self._trace.emit(
+                    EibRelease(
+                        ts=self.env.now,
+                        src=flow.src,
+                        dst=flow.dst,
+                        ring=ring,
+                        nbytes=nbytes,
+                        start=committed_at,
                     )
-                    self._commit(grant, immediate=False)
-                    if granted is None:
-                        granted = []
-                    granted.append((waiter[0], grant))
-                    break
-            else:
-                still_waiting.append(waiter)
-        self._waiters = still_waiting
-        if granted is None:
-            return
-        for event, grant in granted:
-            if not self._memory_side(grant):
-                grant.penalty_cycles = (
-                    self.config.eib.conflict_retry_cycles
-                    * self._contending_flows(grant)
                 )
-            event.succeed(grant)
+        if self._heads:
+            self._drain()
 
-    def _drain_waiters_fast(self) -> None:
-        """:meth:`_drain_waiters` for coalescing-engine waiters — same
-        FIFO scan, same commit-before-resume discipline, run over the
-        bitmask twin of the arbitration state.  A granted waiter gets
-        ``(ring index, ~span mask, hop latency, penalty)`` as its value;
-        its ``_eib_granted`` continuation is popped off the heap exactly
-        where the reference pops the grant event."""
-        waiters = self._waiters
-        out_mask = self._fast_out
-        in_mask = self._fast_in
-        occ = self._fast_occ
-        nact = self._fast_nact
-        maxt = self._fast_max
-        granted: list[tuple] | None = None
-        taken: set[int] = set()
-        # Scan in place: the common outcome is "nothing grantable", and
-        # leaving the deque untouched then is far cheaper than the
-        # pop-and-reappend rebuild (the result is identical — the old
-        # loop reassembled the same deque minus the granted entries, in
-        # order).
-        for index, waiter in enumerate(waiters):
-            actor, src, dst, leg = waiter
-            srcbit = leg[1]
-            dstbit = leg[3]
-            if out_mask & srcbit | in_mask & dstbit:
+    def _enqueue(self, flow: _Flow, waiter: Any) -> None:
+        """Queue a request behind its flow's earlier ones."""
+        waiters = flow.waiters
+        if not waiters:
+            # The newest arrival is the newest head, so appending keeps
+            # _heads in head-arrival order.
+            self._heads.append(flow)
+        self._arrivals = arrival = self._arrivals + 1
+        waiters.append((arrival, waiter))
+
+    def _drain(self) -> None:
+        """Grant every queued request that now fits, in arrival order,
+        scanning flow heads only (exact: see the module docstring).
+
+        Grants are committed here, before the waiters resume, so two
+        releases in the same cycle cannot double-book a path.  A granted
+        waiter receives ``(ring index, ~span mask, hop latency,
+        penalty)``."""
+        heads = self._heads
+        occ = self._occ
+        nact = self._nact
+        maxt = self._max_transfers
+        out_mask = self._out
+        in_mask = self._in
+        granted: list[tuple[_Flow, tuple, Any]] | None = None
+        for flow in heads:
+            srcbit = flow.srcbit
+            dstbit = flow.dstbit
+            if out_mask & srcbit or in_mask & dstbit:
                 continue
-            for ri, mask, notmask, latency in leg[0]:
+            for choice in flow.choices:
+                ri = choice[0]
+                mask = choice[1]
                 if nact[ri] < maxt and not occ[ri] & mask:
                     occ[ri] |= mask
                     nact[ri] += 1
@@ -474,87 +427,56 @@ class Eib:
                     in_mask |= dstbit
                     if granted is None:
                         granted = []
-                    granted.append((actor, ri, notmask, latency, leg, src, dst))
-                    taken.add(index)
+                    granted.append((flow, choice, flow.waiters.popleft()[1]))
                     break
-        self._fast_out = out_mask
-        self._fast_in = in_mask
+        self._out = out_mask
+        self._in = in_mask
         if granted is None:
             return
-        self._waiters = deque(
-            waiter
-            for index, waiter in enumerate(waiters)
-            if index not in taken
-        )
-        retry = self._fast_retry
-        rings = self.rings
-        for actor, ri, notmask, latency, leg, src, dst in granted:
-            if leg[6]:
-                penalty = 0
-            else:
-                penalty = retry * self._contending_flows_fast(
-                    src, dst, rings[ri].direction
-                )
-            actor.succeed((ri, notmask, latency, penalty))
+        # Re-file each granted flow under its next waiter's arrival.
+        for flow, _choice, _waiter in granted:
+            heads.remove(flow)
+        for flow, _choice, _waiter in granted:
+            if flow.waiters:
+                insort(heads, flow, key=_head_arrival)
+        monitoring = self._monitoring
+        for flow, choice, waiter in granted:
+            ri, _mask, notmask, latency, spans = choice
+            penalty = 0 if flow.memory_side else self._retry * self._contending(flow, ri)
+            if monitoring:
+                self._note_grant(flow, ri, spans, immediate=False)
+            waiter.succeed((ri, notmask, latency, penalty))
 
-    def _contending_flows_fast(self, gsrc: str, gdst: str, direction: int) -> int:
-        """:meth:`_contending_flows` with the per-flow-pair verdict
-        memoised — the verdict is pure topology (the reference helpers
-        compute it on first sight of a pair), only the set of waiting
-        flows changes over time."""
-        flows = {
-            (src, dst)
-            for _actor, src, dst, _leg in self._waiters
-            if (src, dst) != (gsrc, gdst)
-        }
+    def _contending(self, flow: _Flow, ri: int) -> int:
+        """Distinct other flows still waiting that a grant to ``flow`` on
+        ring ``ri`` holds up: same source ramp, same destination ramp,
+        or a span overlap in the ring's direction.  A flow's own
+        pipelined commands do not count — the BIU presents one bus
+        request per flow.  Transfers touching the MIC or an IOIF stream
+        across grant boundaries (deep controller queues) and pay no
+        penalty; :meth:`_drain` skips them."""
+        contends = flow.contends
         count = 0
-        memo = self._contend_memo
-        for src, dst in flows:
-            key = (gsrc, gdst, direction, src, dst)
-            verdict = memo.get(key)
-            if verdict is None:
-                if src == gsrc or dst == gdst:
-                    verdict = 1
-                elif direction in self.topology.directions_by_distance(
-                    src, dst
-                ) and not self._span_set(gsrc, gdst, direction).isdisjoint(
-                    self._span_set(src, dst, direction)
-                ):
-                    verdict = 1
-                else:
-                    verdict = 0
-                memo[key] = verdict
-            count += verdict
+        for other in self._heads:
+            if other is not flow:
+                verdicts = contends.get(other)
+                if verdicts is None:
+                    verdicts = contends[other] = self._verdicts(flow, other)
+                count += verdicts[ri]
         return count
 
-    def _contending_flows(self, grant: TransferGrant) -> int:
-        """Distinct other flows still waiting that this grant is holding
-        up: same source ramp, same destination ramp, or a span overlap
-        in the granted direction.  A flow's own pipelined commands do
-        not count — the BIU presents one bus request per flow."""
-        waiting_flows = {
-            (src, dst)
-            for _event, src, dst in self._waiters
-            if (src, dst) != (grant.src, grant.dst)
-        }
-        count = 0
-        for src, dst in waiting_flows:
-            if src == grant.src or dst == grant.dst:
-                count += 1
-                continue
-            if grant.ring.direction in self.topology.directions_by_distance(
-                src, dst
-            ) and not grant.span_set.isdisjoint(
-                self._span_set(src, dst, grant.ring.direction)
+    def _verdicts(self, flow: _Flow, other: _Flow) -> tuple[int, ...]:
+        """Per ring index, whether a grant to ``flow`` on that ring holds
+        ``other`` up; pure topology, so :meth:`_contending` memoises it."""
+        if other.src == flow.src or other.dst == flow.dst:
+            return (1,) * len(self.rings)
+        topology = self.topology
+        legal = topology.directions_by_distance(other.src, other.dst)
+        verdicts = [0] * len(self.rings)
+        for ri, _mask, _notmask, _latency, spans in flow.choices:
+            direction = self.rings[ri].direction
+            if direction in legal and not set(spans).isdisjoint(
+                topology.path(other.src, other.dst, direction)
             ):
-                count += 1
-        return count
-
-    @staticmethod
-    def _memory_side(grant: TransferGrant) -> bool:
-        """Transfers touching the MIC or an IOIF keep streaming across
-        grant boundaries (deep controller queues) — no retry penalty."""
-        return (
-            grant.src in ("MIC", "IOIF0", "IOIF1")
-            or grant.dst in ("MIC", "IOIF0", "IOIF1")
-        )
+                verdicts[ri] = 1
+        return tuple(verdicts)

@@ -241,10 +241,6 @@ class Experiment:
 
     # -- measurement ---------------------------------------------------------------
 
-    def build_chip(self, seed: int) -> CellChip:
-        mapping = SpeMapping.random(seed, self.config.n_spes)
-        return CellChip(config=self.config, mapping=mapping)
-
     def spec_for(
         self, seed: int, assignments: Sequence[Assignment]
     ) -> RunSpec:

@@ -10,7 +10,6 @@ Values are GB/s unless stated otherwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
 #: Architectural peaks, section 1/3.
 PEAKS = {
@@ -124,19 +123,3 @@ SPU_LS = {
     "peak_at_16b": 33.6,
 }
 
-
-@dataclass(frozen=True)
-class ShapeClaim:
-    """A checkable statement from the paper."""
-
-    claim_id: str
-    description: str
-    paper_value: float | None = None
-    tolerance_fraction: float = 0.25
-
-    def band(self):
-        if self.paper_value is None:
-            raise ValueError(f"claim {self.claim_id} has no numeric value")
-        low = self.paper_value * (1 - self.tolerance_fraction)
-        high = self.paper_value * (1 + self.tolerance_fraction)
-        return low, high

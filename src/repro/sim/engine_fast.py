@@ -21,18 +21,20 @@ oracle, gated by ``tests/test_engine_fast.py``):
   succeed plus the resume relay) merge into one slot, an actor may
   run a zero-delay hop inline when nothing else is scheduled at the
   current time, an uncontended EIB leg's chunk train collapses to one
-  slot, and an all-tail continuation chain may *tail-warp* — advance
-  ``now`` to a strictly-earliest target and run inline (see
-  :meth:`FastActor._after`);
+  slot (with one known, test-pinned exception: see the whole-leg merge
+  in :mod:`repro.cell.mfc`), and an all-tail continuation chain may
+  *tail-warp* — advance ``now`` to a strictly-earliest target and run
+  inline (see :meth:`FastActor._after`);
 * on top of per-slot coalescing, :mod:`repro.sim.fastforward` detects
   a periodic steady state at a kernel anchor and warps whole periods
   in O(1) — heap times shift uniformly, counters advance linearly,
   placement accumulators are replayed bit-exactly;
-* model *decisions* (bank scheduling, EIB arbitration, pacing) run the
-  reference code itself — the fast paths call ``Eib._try_grant`` /
-  ``_commit`` / ``_release``, ``MemoryBank._pick`` / ``_plan_service``
-  and ``Mfc._finish`` directly, so there is no second copy of the
-  timing model to drift;
+* model *decisions* share state and code where they can: EIB
+  arbitration runs on the bus's one bitmask state, and conflicts wait
+  in the same per-flow queues, granted by the same ``Eib._drain``, as
+  on the reference engine; the MFC fast paths call ``Mfc._finish``;
+  the bank fast paths are line-for-line inlined twins of
+  ``MemoryBank._pick`` / ``_plan_service``;
 * the fast engine only drives **unobserved** runs: trace, faults,
   sanitizer and watchdog-style observation need per-event resolution,
   so :func:`resolve_engine` silently falls back to the reference engine

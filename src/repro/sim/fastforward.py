@@ -348,13 +348,13 @@ class FastForward:
         )
         eib = self.eib
         eib_state = (
-            tuple(eib._fast_occ),
-            tuple(eib._fast_nact),
-            eib._fast_out,
-            eib._fast_in,
+            tuple(eib._occ),
+            tuple(eib._nact),
+            eib._out,
+            eib._in,
             tuple(
                 (self._describe(actor), src, dst)
-                for actor, src, dst, _leg in eib._waiters
+                for src, dst, actor in eib.queued()
             ),
         )
         banks = tuple(
@@ -561,7 +561,7 @@ class FastForward:
         for mfc in self.mfcs:
             if mfc._memory_path_free_at > before:
                 mfc._memory_path_free_at += shift
-        for actor, _src, _dst, _leg in self.eib._waiters:
+        for _src, _dst, actor in self.eib.queued():
             actor._eib_wait_started += shift
         for _time, _seq, item in env._queue:
             cont = getattr(item, "_run_callbacks", None)

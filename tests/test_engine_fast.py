@@ -12,14 +12,32 @@ import pytest
 from repro.cell.chip import CellChip
 from repro.cell.config import CellConfig
 from repro.cell.dma import coalesce_bursts, uniform_bursts
-from repro.core.experiment import RunSpec, run_spec
+from repro.core import experiment
+from repro.core.experiment import RunSpec, run_spec, run_spec_report
 from repro.core.kernels import DmaWorkload
+from repro.core.spe_couples import couple_assignments
 from repro.runtime.parallel import SweepExecutor
 from repro.sim.core import SimulationError
 from repro.sim.engine_fast import ENGINES, FastEnvironment, resolve_engine
 from repro.sim.faults import FaultEngine
 from repro.sim.sanitizer import DmaSanitizer
 from repro.sim.trace import TraceRecorder
+
+
+#: The fast engine's whole-leg merge (``_FastMover._eib_chunk``) checks
+#: only the heap head.  A mover started inline from a kernel frame still
+#: has its caller's same-pop work to run, which can issue the next
+#: command inside the merged span (by a heap push or a tail-warp), so the
+#: fast engine skips chunk boundaries where the reference engine
+#: re-arbitrates.  With the merge disabled these cases agree.
+WHOLE_LEG_MERGE = pytest.mark.xfail(
+    strict=True,
+    reason=(
+        "whole-leg merge in _FastMover._eib_chunk checks only the heap "
+        "head; an inline-started mover's caller can issue the next "
+        "command inside the merged span"
+    ),
+)
 
 
 def spec_for(
@@ -142,6 +160,11 @@ class TestByteIdentity:
                  seed=16),
         spec_for("get", n_spes=1, mode="list", element_bytes=8192,
                  partner_logical=1, seed=14),
+        # 298,825 cycles on the reference engine, 293,965 on the fast one
+        pytest.param(
+            spec_for("put", n_spes=1, n_elements=48, sync_every=2, seed=1),
+            marks=WHOLE_LEG_MERGE,
+        ),
     ]
 
     @pytest.mark.parametrize(
@@ -159,6 +182,83 @@ class TestByteIdentity:
     )
     def test_fast_equals_reference(self, spec):
         assert run_spec(spec, engine="fast") == run_spec(spec)
+
+
+def eib_counters(spec, engine, monkeypatch):
+    """The bus counters of the chip ``run_spec_report`` runs."""
+    chips = []
+
+    class RecordingChip(experiment.CellChip):
+        def run(self, *args, **kwargs):
+            chips.append(self)
+            return super().run(*args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(experiment, "CellChip", RecordingChip)
+        run_spec_report(spec, engine)
+    eib = chips[-1].eib
+    return {
+        "grants": eib.grants,
+        "conflicts": eib.conflicts,
+        "wait_cycles": eib.wait_cycles,
+        "bytes_moved": eib.bytes_moved,
+    }
+
+
+class TestEibCounters:
+    """Both engines count the same EIB grants, conflicts and wait cycles,
+    not just the same samples."""
+
+    CASES = [
+        pytest.param(
+            spec_for("copy", n_spes=8, element_bytes=4096, n_elements=256),
+            id="storm-8spe-copy-4KiB",
+        ),
+        pytest.param(
+            RunSpec(
+                config=CellConfig.paper_blade(),
+                seed=1000,
+                assignments=tuple(
+                    couple_assignments(
+                        8,
+                        lambda _initiator, partner: DmaWorkload(
+                            direction="copy",
+                            element_bytes=4096,
+                            n_elements=128,
+                            partner_logical=partner,
+                        ),
+                    )
+                ),
+            ),
+            id="couples-8spe-copy-4KiB",
+        ),
+        # conflicts 2046 on the reference engine, 2039 on the fast one
+        pytest.param(
+            spec_for("copy", n_spes=1, n_elements=128, partner_logical=1),
+            id="pair-copy-16KiB",
+            marks=WHOLE_LEG_MERGE,
+        ),
+        # conflicts 1984 vs 1760, wait cycles 1,514,624 vs 1,339,264
+        pytest.param(
+            spec_for("copy", n_spes=1, n_elements=128, sync_every=4,
+                     partner_logical=1),
+            id="pair-copy-16KiB-sync4",
+            marks=WHOLE_LEG_MERGE,
+        ),
+        # conflicts 511 vs 510
+        pytest.param(
+            spec_for("get", n_spes=1, element_bytes=4096, n_elements=256,
+                     partner_logical=1),
+            id="pair-get-4KiB",
+            marks=WHOLE_LEG_MERGE,
+        ),
+    ]
+
+    @pytest.mark.parametrize("spec", CASES)
+    def test_fast_counts_equal_reference(self, spec, monkeypatch):
+        assert eib_counters(spec, "fast", monkeypatch) == eib_counters(
+            spec, "reference", monkeypatch
+        )
 
 
 class TestExecutorEngine:
