@@ -4,19 +4,20 @@ The paper's programming guidelines are synchronisation discipline, and
 every one has a misuse mode that silently corrupts a bandwidth number or
 livelocks the simulator.  This package catches them before a run:
 
-* ``SL101``/``SL102`` — tag-group synchronisation (LS data consumed
-  before its GET landed; programs returning with DMA in flight);
 * ``SL201`` — zero-time livelock loops in sim processes;
 * ``SL301``/``SL302`` — DMA size/alignment legality and the sub-128 B
   efficiency cliff, checked with the MFC's own ``validate_transfer``;
 * ``SL401`` — fractional cycle delays (kernel time is an integer);
 * ``SL501`` — wall clocks / unseeded RNGs that would break the
   byte-identical replay the result cache and parallel executor assume;
-* ``SL601``/``SL602``/``SL603`` — interprocedural dataflow proofs over
-  per-function CFGs with a constant-propagation + interval domain:
-  local-store buffer overlap (the static counterpart of the runtime
-  ``DmaSanitizer``), tag-group lifecycle errors, and double-buffer
-  rotation that aliases the in-flight window;
+* ``SL101``/``SL102`` and ``SL601``/``SL602``/``SL603`` — queries on one
+  interprocedural DMA-state fixpoint over per-function CFGs with a
+  constant-propagation + interval domain.  ``SL101``/``SL102`` check
+  tag-group synchronisation on every path (LS data consumed while its
+  GET may be in flight; programs that can return with DMA in flight);
+  ``SL6xx`` prove local-store buffer overlap (the static counterpart of
+  the runtime ``DmaSanitizer``), tag-group lifecycle errors, and
+  double-buffer rotation that aliases the in-flight window;
 * ``SL801``/``SL802`` — suppression hygiene (a suppression needs rules
   and a reason; a stale suppression is itself a finding).
 

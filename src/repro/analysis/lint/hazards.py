@@ -1,6 +1,19 @@
-"""SL6xx: static DMA-hazard proofs over the CFG + interval dataflow.
+"""Static DMA discipline over the CFG + interval dataflow.
 
-The three checkers here are the static shadow of the runtime
+One fixpoint per function tracks which DMA commands may still be in
+flight at each program point.  Two rules query it for the paper's
+synchronisation discipline:
+
+* **SL101** — a ``compute``/``write_out_mbox`` call while a GET may
+  still be in flight: the local-store buffer may not have landed.
+* **SL102** — an SPU program whose exit is reachable with a transfer
+  still in flight: the timed region ends before the data arrives.
+
+Both report a fact that holds on *some* path (in-flight sets join by
+union), and a wait that may cover a transfer — an unknown tag, or an
+unknown wait set — drops the claim.
+
+The three hazard proofs are the static shadow of the runtime
 ``DmaSanitizer``:
 
 * **SL601** — local-store buffer overlap: two transfers whose
@@ -19,7 +32,7 @@ The three checkers here are the static shadow of the runtime
   the window of iteration ``i`` while its transfer may still be in
   flight.
 
-All three fire on *provable* facts only (singleton intervals, converged
+These three fire on *provable* facts only (singleton intervals, converged
 fixpoint states); anything the dataflow cannot pin down is silence, not
 noise.  The fixpoint runs to convergence first and findings are recorded
 on one final stable pass — a wait at the top of a loop legitimately
@@ -30,11 +43,11 @@ once the back edge has delivered that issue.
 from __future__ import annotations
 
 import ast
+from collections.abc import Iterable
 from dataclasses import dataclass, field, replace
 
 from repro.analysis.lint.cfg import CFG, build_cfg
 from repro.analysis.lint.dataflow import (
-    TOP,
     WIDEN_AFTER,
     Env,
     Interval,
@@ -45,9 +58,19 @@ from repro.analysis.lint.dataflow import (
     transfer_stmt,
     widen_env,
 )
+from repro.analysis.lint.intrinsics import (
+    CONSUME_CALLS,
+    ELEM_CALLS,
+    ISSUE_CALLS,
+    WAIT_CALLS,
+    IssueEffect,
+    call_name,
+    get_arg,
+    issue_effect,
+    wait_tag_list,
+)
 from repro.analysis.lint.summaries import (
     UNKNOWN_EFFECTS,
-    IssueEffect,
     ModuleModel,
     WaitEffect,
 )
@@ -63,11 +86,6 @@ MAX_PASSES = 64
 
 #: Cap on distinct in-flight transfer sites tracked per program point.
 MAX_INFLIGHT = 64
-
-_GET_ELEM = frozenset({"mfc_get", "mfc_getf", "mfc_getb"})
-_PUT_ELEM = frozenset({"mfc_put", "mfc_putf", "mfc_putb"})
-_LISTS = frozenset({"mfc_getl", "mfc_putl"})
-_WAITS = frozenset({"wait_tags", "tag_group_quiet"})
 
 _NEVER = frozenset({"never"})
 _INFLIGHT = frozenset({"inflight"})
@@ -188,10 +206,13 @@ class _Checker:
         fn: ast.FunctionDef | ast.AsyncFunctionDef,
         module: ModuleModel,
         spu_param: str | None,
+        program: bool,
     ) -> None:
         self.fn = fn
         self.module = module
         self.spu_param = spu_param
+        #: True for an SPU program whose exit state SL102 judges.
+        self.program = program
         self.findings: list[RawFinding] = []
         self._recorded: set[tuple[str, int, int, str]] = set()
         self.recording = False
@@ -205,8 +226,8 @@ class _Checker:
     def _scan_issues(self) -> bool:
         for node in ast.walk(self.fn):
             if isinstance(node, ast.Call):
-                name = _call_name(node)
-                if name in _GET_ELEM or name in _PUT_ELEM or name in _LISTS:
+                name = call_name(node)
+                if name in ISSUE_CALLS:
                     return True
                 if name is not None and self.module.function(name) is not None:
                     effects = self.module.dma_effects(name, node, {})
@@ -258,6 +279,8 @@ class _Checker:
             ):
                 self._check_rotation(block.loop, dict(state.env))
             self._transfer_block(cfg, block_id, state)
+        if self.program and cfg.exit in in_states:
+            self._check_exit(in_states[cfg.exit])
         return self.findings
 
     # -- block transfer -------------------------------------------------------
@@ -291,13 +314,15 @@ class _Checker:
     # -- call handling --------------------------------------------------------
 
     def _process_call(self, call: ast.Call, state: DmaState) -> None:
-        name = _call_name(call)
-        if name in _GET_ELEM or name in _PUT_ELEM:
-            self._issue_elem(call, name, state)
-        elif name in _LISTS:
-            self._issue_list(call, name, state)
-        elif name in _WAITS:
-            self._wait(call, state)
+        name = call_name(call)
+        if self.recording and name in CONSUME_CALLS:
+            self._check_consume(call, state)
+        if name in ISSUE_CALLS:
+            effect = issue_effect(call, name, state.env, self.module)
+            self._admit(effect, (call.lineno, call.col_offset), state, None)
+        elif name in WAIT_CALLS:
+            tags = wait_tag_list(call, state.env, self.module)
+            self._do_wait(tags, call, call.lineno, state)
         elif name is not None and self.module.function(name) is not None:
             effects = self.module.dma_effects(name, call, state.env)
             if effects is UNKNOWN_EFFECTS:
@@ -306,54 +331,26 @@ class _Checker:
             assert effects is not None
             for effect in effects:
                 if isinstance(effect, IssueEffect):
-                    self._apply_issue_effect(call, effect, state)
-                else:
-                    self._apply_wait_effect(call, effect, state)
+                    self._admit(effect, (effect.line, 0), state, call)
+                elif not effect.conditional:
+                    # A wait that may not execute clears nothing
+                    # (must-semantics) and proves nothing about dead tags.
+                    self._do_wait(effect.tags, call, effect.line, state)
         elif self.spu_param is not None and any(
             isinstance(arg, ast.Name) and arg.id == self.spu_param
             for arg in list(call.args) + [k.value for k in call.keywords]
         ):
             _poison(state)
 
-    def _issue_elem(self, call: ast.Call, name: str, state: DmaState) -> None:
-        tag_expr = _get_arg(call, 1, "tag")
-        local_expr = _get_arg(call, 3, "local_offset")
-        transfer = Transfer(
-            site=(call.lineno, call.col_offset),
-            kind="get" if name in _GET_ELEM else "put",
-            is_list=False,
-            tag=eval_expr(tag_expr, state.env, self.module)
-            if tag_expr is not None else Interval.const(0),
-            local=eval_expr(local_expr, state.env, self.module)
-            if local_expr is not None else Interval.const(0),
-            size=eval_expr(_get_arg(call, 0, "size"), state.env, self.module),
-            conditional=False,
-        )
-        ordered = (
-            name.endswith("b") or _flag_true(call, "barrier"),
-            name.endswith("f") or _flag_true(call, "fence"),
-        )
-        self._admit(transfer, ordered, state, origin=None)
-
-    def _issue_list(self, call: ast.Call, name: str, state: DmaState) -> None:
-        tag_expr = _get_arg(call, 2, "tag")
-        transfer = Transfer(
-            site=(call.lineno, call.col_offset),
-            kind="get" if name == "mfc_getl" else "put",
-            is_list=True,
-            tag=eval_expr(tag_expr, state.env, self.module)
-            if tag_expr is not None else Interval.const(0),
-            local=TOP,
-            size=TOP,
-            conditional=False,
-        )
-        self._admit(transfer, (False, False), state, origin=None)
-
-    def _apply_issue_effect(
-        self, call: ast.Call, effect: IssueEffect, state: DmaState
+    def _admit(
+        self,
+        effect: IssueEffect,
+        site: tuple[int, int],
+        state: DmaState,
+        origin: ast.Call | None,  # the helper call that issued it, if any
     ) -> None:
         transfer = Transfer(
-            site=(effect.line, 0),
+            site=site,
             kind=effect.kind,
             is_list=effect.is_list,
             tag=effect.tag,
@@ -361,31 +358,12 @@ class _Checker:
             size=effect.size,
             conditional=effect.conditional or effect.repeated,
         )
-        self._admit(
-            transfer, (effect.barrier, effect.fence), state, origin=call
-        )
-
-    def _apply_wait_effect(
-        self, call: ast.Call, effect: WaitEffect, state: DmaState
-    ) -> None:
-        if effect.conditional:
-            # A wait that may not execute clears nothing (must-semantics)
-            # and proves nothing about dead tags.
-            return
-        self._do_wait(effect.tags, call, effect.line, state)
-
-    def _admit(
-        self,
-        transfer: Transfer,
-        ordered: tuple[bool, bool],  # (barrier, fence) on the new command
-        state: DmaState,
-        origin: ast.Call | None,
-    ) -> None:
-        barrier, fence = ordered
         if self.recording:
-            self._check_overlap(transfer, barrier, fence, state, origin)
+            self._check_overlap(
+                transfer, effect.barrier, effect.fence, state, origin
+            )
             self._check_direction_mix(
-                transfer, barrier, fence, state, origin
+                transfer, effect.barrier, effect.fence, state, origin
             )
         state.inflight[transfer.site] = (
             transfer
@@ -396,10 +374,6 @@ class _Checker:
             state.tags[transfer.tag.value] = _INFLIGHT
         else:
             state.tags_unknown = True
-
-    def _wait(self, call: ast.Call, state: DmaState) -> None:
-        tags = _wait_tag_list(call, state.env, self.module)
-        self._do_wait(tags, call, call.lineno, state)
 
     def _do_wait(
         self,
@@ -426,6 +400,35 @@ class _Checker:
                 del state.inflight[site]
         for tag in tags:
             state.tags[tag] = _WAITED
+
+    # -- SL101 / SL102 --------------------------------------------------------
+
+    def _check_consume(self, call: ast.Call, state: DmaState) -> None:
+        gets = [t for t in state.inflight.values() if t.kind == "get"]
+        if not gets:
+            return
+        self._record(
+            "SL101",
+            call.lineno,
+            call.col_offset,
+            f"{call_name(call)}() while mfc_get commands on tag group(s) "
+            f"{{{_tag_set(gets)}}} are still outstanding; the local store "
+            f"may not hold the data yet — wait_tags([...]) on those groups "
+            f"first",
+        )
+
+    def _check_exit(self, state: DmaState) -> None:
+        if not state.inflight:
+            return
+        last = max(state.inflight.values(), key=lambda t: t.site)
+        self._record(
+            "SL102",
+            last.site[0],
+            last.site[1],
+            f"program {self.fn.name!r} can return with DMA on tag group(s) "
+            f"{{{_tag_set(state.inflight.values())}}} still in flight; end "
+            f"with wait_tags([...]) so the timed region covers the data",
+        )
 
     # -- SL601 ----------------------------------------------------------------
 
@@ -601,10 +604,9 @@ class _Checker:
                 node for node in _walk_no_lambdas(stmt)
                 if isinstance(node, ast.Call)
             ):
-                name = _call_name(call)
-                if name not in _GET_ELEM and name not in _PUT_ELEM:
+                if call_name(call) not in ELEM_CALLS:
                     continue
-                local_expr = _get_arg(call, 3, "local_offset")
+                local_expr = get_arg(call, 3, "local_offset")
                 if local_expr is None:
                     continue
                 period = _rotation_period(local_expr, env, self.module)
@@ -637,7 +639,7 @@ class _Checker:
 
     def _record(
         self, rule: str, line: int, col: int, message: str,
-        steps: tuple[Step, ...],
+        steps: tuple[Step, ...] = (),
     ) -> None:
         key = (rule, line, col, message)
         if key in self._recorded:
@@ -653,53 +655,12 @@ class _Checker:
 # Helpers
 # ---------------------------------------------------------------------------
 
-def _call_name(node: ast.Call) -> str | None:
-    func = node.func
-    if isinstance(func, ast.Attribute):
-        return func.attr
-    if isinstance(func, ast.Name):
-        return func.id
-    return None
-
-
-def _get_arg(node: ast.Call, position: int, name: str) -> ast.expr | None:
-    for keyword in node.keywords:
-        if keyword.arg == name:
-            return keyword.value
-    if position < len(node.args):
-        return node.args[position]
-    return None
-
-
-def _flag_true(node: ast.Call, name: str) -> bool:
-    for keyword in node.keywords:
-        if keyword.arg == name:
-            value = keyword.value
-            return bool(
-                isinstance(value, ast.Constant) and value.value is True
-            )
-    return False
-
-
 def _tag_str(tag: Interval) -> str:
     return str(tag.value) if tag.is_const else "?"
 
 
-def _wait_tag_list(
-    call: ast.Call, env: Env, module: ModuleModel
-) -> tuple[int, ...] | None:
-    expr = _get_arg(call, 0, "tags")
-    if expr is None:
-        return None
-    if isinstance(expr, (ast.List, ast.Tuple, ast.Set)):
-        tags: list[int] = []
-        for element in expr.elts:
-            value = eval_expr(element, env, module)
-            if not value.is_const:
-                return None
-            tags.append(value.value)
-        return tuple(tags)
-    return None
+def _tag_set(transfers: Iterable[Transfer]) -> str:
+    return ", ".join(sorted({_tag_str(t.tag) for t in transfers}))
 
 
 def _walk_no_lambdas(node: ast.AST):
@@ -727,8 +688,8 @@ def _body_waits(stmts: list[ast.stmt], module: ModuleModel) -> bool:
         for node in _walk_no_lambdas(stmt):
             if not isinstance(node, ast.Call):
                 continue
-            name = _call_name(node)
-            if name in _WAITS:
+            name = call_name(node)
+            if name in WAIT_CALLS:
                 return True
             if name is not None and module.function(name) is not None:
                 effects = module.dma_effects(name, node, {})
@@ -768,6 +729,8 @@ def check_function(
     fn: ast.FunctionDef | ast.AsyncFunctionDef,
     module: ModuleModel,
     spu_param: str | None = None,
+    program: bool = False,
 ) -> list[RawFinding]:
-    """Run the SL6xx hazard analysis over one function body."""
-    return _Checker(fn, module, spu_param).run()
+    """Run the DMA-state fixpoint over one function body; ``program``
+    turns on SL102's exit check."""
+    return _Checker(fn, module, spu_param, program).run()

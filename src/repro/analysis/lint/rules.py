@@ -9,7 +9,8 @@ and parallel executor rely on.
 
 Rule numbering groups by theme:
 
-* ``SL1xx`` — DMA synchronisation discipline (tag groups, delayed sync);
+* ``SL1xx`` — DMA synchronisation discipline (tag groups, delayed sync),
+  answered by the same DMA-state fixpoint as ``SL6xx``;
 * ``SL2xx`` — simulation-process liveness (zero-time livelocks);
 * ``SL3xx`` — DMA size/alignment legality and efficiency;
 * ``SL4xx`` — kernel-time integrality (cycle counts are integers);
@@ -29,36 +30,19 @@ from dataclasses import dataclass, field
 from collections.abc import Callable
 
 from repro.analysis.lint.findings import Finding, Severity
+from repro.analysis.lint.hazards import check_function
+from repro.analysis.lint.intrinsics import (
+    ELEM_CALLS,
+    LIST_CALLS,
+    call_name,
+    get_arg,
+)
+from repro.analysis.lint.summaries import ModuleModel
 from repro.cell.dma import EFFICIENT_MIN_BYTES, validate_transfer
 from repro.cell.errors import DmaAlignmentError, DmaSizeError
 
-#: SPU intrinsics that issue a GET (write into the local store).
-GET_CALLS = frozenset({"mfc_get", "mfc_getf", "mfc_getb", "mfc_getl"})
-
-#: SPU intrinsics that issue a PUT (read out of the local store).
-PUT_CALLS = frozenset({"mfc_put", "mfc_putf", "mfc_putb", "mfc_putl"})
-
-#: Single-element DMA intrinsics (``size`` is the first argument).
-ELEM_CALLS = frozenset(
-    {"mfc_get", "mfc_put", "mfc_getf", "mfc_putf", "mfc_getb", "mfc_putb"}
-)
-
-#: DMA-list intrinsics (``element_size``, ``n_elements`` lead).
-LIST_CALLS = frozenset({"mfc_getl", "mfc_putl"})
-
-#: Calls that synchronise tag groups (the model's tag-status reads).
-WAIT_CALLS = frozenset({"wait_tags", "tag_group_quiet"})
-
-#: Calls that consume local-store data (compute on it / publish results).
-CONSUME_CALLS = frozenset({"compute", "write_out_mbox"})
-
 #: Maximum elements one DMA list can carry (CBE Programming Handbook).
 LIST_MAX_ELEMENTS = 2048
-
-#: Sentinel tag for DMA issued with a statically-unknown tag expression.
-UNKNOWN_TAG = "?"
-
-Tag = int | str
 
 
 @dataclass
@@ -92,8 +76,8 @@ class RuleContext:
     tree: ast.Module
     path: str
     functions: list[FunctionInfo] = field(default_factory=list)
-    #: Dataflow findings (SL6xx), computed once per module on first
-    #: demand and shared by the three SL6xx rule entries.
+    #: Dataflow findings (SL1xx, SL6xx), computed once per module on
+    #: first demand and shared by the five dataflow rule entries.
     _dataflow: list[Finding] | None = field(default=None, repr=False)
 
 
@@ -112,31 +96,10 @@ class Rule:
 # Shared AST helpers
 # ---------------------------------------------------------------------------
 
-def call_name(node: ast.Call) -> str | None:
-    """The called name: ``spu.mfc_get(...)`` and ``mfc_get(...)`` both
-    resolve to ``mfc_get``."""
-    func = node.func
-    if isinstance(func, ast.Attribute):
-        return func.attr
-    if isinstance(func, ast.Name):
-        return func.id
-    return None
-
-
 def keyword_arg(node: ast.Call, name: str) -> ast.expr | None:
     for keyword in node.keywords:
         if keyword.arg == name:
             return keyword.value
-    return None
-
-
-def get_arg(node: ast.Call, position: int, name: str) -> ast.expr | None:
-    """Argument by keyword name or position (None when absent)."""
-    value = keyword_arg(node, name)
-    if value is not None:
-        return value
-    if position < len(node.args):
-        return node.args[position]
     return None
 
 
@@ -183,200 +146,6 @@ def contains_yield(node: ast.AST) -> bool:
         isinstance(child, (ast.Yield, ast.YieldFrom))
         for child in body_without_nested_functions(node)
     )
-
-
-def _dma_tag(call: ast.Call) -> Tag:
-    """The tag group a DMA intrinsic joins (default 0, ``UNKNOWN_TAG``
-    when the expression is not a literal)."""
-    name = call_name(call)
-    position = 2 if name in LIST_CALLS else 1
-    expr = get_arg(call, position, "tag")
-    if expr is None:
-        return 0
-    value = const_int(expr)
-    return value if value is not None else UNKNOWN_TAG
-
-
-def _wait_tags(call: ast.Call) -> list[Tag] | None:
-    """Tags a wait call covers; None when statically unknown."""
-    expr = get_arg(call, 0, "tags")
-    if expr is None:
-        return None
-    if isinstance(expr, (ast.List, ast.Tuple, ast.Set)):
-        tags: list[Tag] = []
-        for element in expr.elts:
-            value = const_int(element)
-            if value is None:
-                return None
-            tags.append(value)
-        return tags
-    return None
-
-
-# ---------------------------------------------------------------------------
-# SL101 / SL102: tag-group synchronisation discipline
-# ---------------------------------------------------------------------------
-
-class _TagState:
-    """Dirty tag groups along one straight-line walk of a function.
-
-    ``gets``/``puts`` map tag -> the call node that last dirtied it.  A
-    wait on a statically-known tag list cleans those tags; a wait on an
-    unknown expression conservatively cleans everything (the analysis
-    prefers silence over false alarms).
-    """
-
-    def __init__(self) -> None:
-        self.gets: dict[Tag, ast.Call] = {}
-        self.puts: dict[Tag, ast.Call] = {}
-
-    def copy(self) -> _TagState:
-        state = _TagState()
-        state.gets = dict(self.gets)
-        state.puts = dict(self.puts)
-        return state
-
-    def merge(self, other: _TagState) -> None:
-        for tag, node in other.gets.items():
-            self.gets.setdefault(tag, node)
-        for tag, node in other.puts.items():
-            self.puts.setdefault(tag, node)
-
-    def issue(self, call: ast.Call) -> None:
-        name = call_name(call)
-        tag = _dma_tag(call)
-        if name in GET_CALLS:
-            self.gets[tag] = call
-        else:
-            self.puts[tag] = call
-
-    def wait(self, call: ast.Call) -> None:
-        tags = _wait_tags(call)
-        if tags is None or UNKNOWN_TAG in self.gets or UNKNOWN_TAG in self.puts:
-            self.gets.clear()
-            self.puts.clear()
-            return
-        for tag in tags:
-            self.gets.pop(tag, None)
-            self.puts.pop(tag, None)
-
-
-def _walk_tag_state(
-    statements: list[ast.stmt],
-    state: _TagState,
-    on_consume: Callable[[ast.Call, _TagState], None],
-) -> None:
-    """Sequential walk of a statement list tracking dirty tag groups.
-
-    Branches are walked with copies and merged (union of dirtiness);
-    loop bodies are walked once — the analysis is straight-line, not a
-    fixed point, so a get at the bottom of a loop consumed at the top of
-    the next iteration is out of scope (documented limitation).
-    """
-    for statement in statements:
-        if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                  ast.ClassDef)):
-            continue
-        if isinstance(statement, ast.If):
-            branch = state.copy()
-            _walk_tag_state(statement.body, state, on_consume)
-            _walk_tag_state(statement.orelse, branch, on_consume)
-            state.merge(branch)
-            continue
-        if isinstance(statement, (ast.For, ast.While)):
-            _walk_tag_state(statement.body, state, on_consume)
-            _walk_tag_state(statement.orelse, state, on_consume)
-            continue
-        if isinstance(statement, ast.Try):
-            _walk_tag_state(statement.body, state, on_consume)
-            for handler in statement.handlers:
-                branch = state.copy()
-                _walk_tag_state(handler.body, branch, on_consume)
-                state.merge(branch)
-            _walk_tag_state(statement.orelse, state, on_consume)
-            _walk_tag_state(statement.finalbody, state, on_consume)
-            continue
-        if isinstance(statement, ast.With):
-            _walk_tag_state(statement.body, state, on_consume)
-            continue
-        # Straight-line statement: process its calls in source order.
-        for call in sorted(
-            iter_calls(statement), key=lambda c: (c.lineno, c.col_offset)
-        ):
-            name = call_name(call)
-            if name in GET_CALLS or name in PUT_CALLS:
-                state.issue(call)
-            elif name in WAIT_CALLS:
-                state.wait(call)
-            elif name in CONSUME_CALLS:
-                on_consume(call, state)
-
-
-def check_ls_read_before_sync(context: RuleContext) -> list[Finding]:
-    """SL101: computing on (or publishing) local-store data while a GET
-    tag group still has outstanding commands — on hardware the buffer may
-    not have landed, so the numbers are garbage."""
-    findings: list[Finding] = []
-    seen: set[tuple[int, int]] = set()
-
-    for info in context.functions:
-        if not info.is_sim:
-            continue
-
-        def consume(call: ast.Call, state: _TagState) -> None:
-            if not state.gets:
-                return
-            key = (call.lineno, call.col_offset)
-            if key in seen:
-                return
-            seen.add(key)
-            tags = ", ".join(str(tag) for tag in sorted(state.gets, key=str))
-            findings.append(
-                _finding(
-                    RULES["SL101"],
-                    context.path,
-                    call,
-                    f"{call_name(call)}() while mfc_get commands on tag "
-                    f"group(s) {{{tags}}} are still outstanding; the local "
-                    f"store may not hold the data yet — wait_tags([...]) "
-                    f"on those groups first",
-                )
-            )
-
-        _walk_tag_state(info.node.body, _TagState(), consume)
-    return findings
-
-
-def check_unwaited_dma(context: RuleContext) -> list[Finding]:
-    """SL102: an SPU program that can return with DMA still in flight.
-
-    The paper's rule is *delay* synchronisation, not *skip* it: a timed
-    region that ends before the tag groups are quiet reports bandwidth
-    for data that never arrived.  Helpers (leading underscore) are
-    exempt — their caller owns the synchronisation.
-    """
-    findings: list[Finding] = []
-    for info in context.functions:
-        if not info.is_spu_program or info.is_helper:
-            continue
-        final = _TagState()
-        _walk_tag_state(info.node.body, final, lambda call, state: None)
-        dirty = {**final.gets, **final.puts}
-        if not dirty:
-            continue
-        tags = ", ".join(str(tag) for tag in sorted(dirty, key=str))
-        last = max(dirty.values(), key=lambda c: (c.lineno, c.col_offset))
-        findings.append(
-            _finding(
-                RULES["SL102"],
-                context.path,
-                last,
-                f"program {info.node.name!r} can return with DMA on tag "
-                f"group(s) {{{tags}}} still in flight; end with "
-                f"wait_tags([...]) so the timed region covers the data",
-            )
-        )
-    return findings
 
 
 # ---------------------------------------------------------------------------
@@ -714,35 +483,36 @@ def check_nondeterminism(context: RuleContext) -> list[Finding]:
 
 
 # ---------------------------------------------------------------------------
-# SL601 / SL602 / SL603: dataflow hazard proofs
+# SL101 / SL102 / SL601 / SL602 / SL603: queries on the DMA-state fixpoint
 # ---------------------------------------------------------------------------
 
 def _dataflow_findings(context: RuleContext) -> list[Finding]:
-    """Run the CFG + interval hazard analysis once per module and share
-    the results across the three SL6xx rule entries.
+    """Run the CFG + interval DMA-state fixpoint once per module and
+    share its findings across the five dataflow rule entries.
 
     Helpers (leading underscore) are folded into their callers via
-    module summaries rather than analysed standalone — a helper's
-    caller owns the synchronisation context, so judging its body in
-    isolation would only manufacture noise.
+    module summaries — a helper's caller owns the synchronisation
+    context, so judging its transfers in isolation would only
+    manufacture noise.  The one exception is SL101: a helper that
+    consumes a buffer it fetched itself before waiting on it is wrong
+    in every calling context, so helper bodies are checked for SL101
+    only.
     """
     if context._dataflow is None:
-        # Imported here so the catalog stays importable even while the
-        # dataflow engine itself is being linted/reloaded.
-        from repro.analysis.lint.hazards import check_function
-        from repro.analysis.lint.summaries import ModuleModel
-
         model = ModuleModel(context.tree, context.path)
         findings: list[Finding] = []
         for info in context.functions:
-            if not info.is_sim or info.is_helper:
+            if not info.is_sim:
                 continue
             spu_param = (
                 info.first_param
                 if info.first_param in ("spu", "env")
                 else None
             )
-            for raw in check_function(info.node, model, spu_param):
+            program = info.is_spu_program and not info.is_helper
+            for raw in check_function(info.node, model, spu_param, program):
+                if info.is_helper and raw.rule != "SL101":
+                    continue
                 rule = RULES[raw.rule]
                 findings.append(
                     Finding(
@@ -760,6 +530,24 @@ def _dataflow_findings(context: RuleContext) -> list[Finding]:
                 )
         context._dataflow = findings
     return context._dataflow
+
+
+def check_ls_read_before_sync(context: RuleContext) -> list[Finding]:
+    """SL101: computing on (or publishing) local-store data while a GET
+    may still be in flight on some path — on hardware the buffer may
+    not have landed, so the numbers are garbage."""
+    return [f for f in _dataflow_findings(context) if f.rule == "SL101"]
+
+
+def check_unwaited_dma(context: RuleContext) -> list[Finding]:
+    """SL102: an SPU program that can return with DMA still in flight.
+
+    The paper's rule is *delay* synchronisation, not *skip* it: a timed
+    region that ends before the tag groups are quiet reports bandwidth
+    for data that never arrived.  Helpers (leading underscore) are
+    exempt — their caller owns the synchronisation.
+    """
+    return [f for f in _dataflow_findings(context) if f.rule == "SL102"]
 
 
 def check_ls_buffer_overlap(context: RuleContext) -> list[Finding]:

@@ -1,6 +1,6 @@
 """Interprocedural summaries: what a module-local helper does for you.
 
-The SL6xx rules analyse one function at a time, but the shipped kernels
+The dataflow rules analyse one function at a time, but the shipped kernels
 factor their issue loops into helpers (``_elem_loop``, ``issue_reads``)
 and read module-level constants (``_READ_TAGS``, ``_WRITE_TAG``).  This
 module threads those boundaries *within one module*:
@@ -25,15 +25,23 @@ state, so unknown code silences rules instead of feeding them guesses.
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.analysis.lint.dataflow import (
     TOP,
     Env,
     Interval,
+    bind_for_target,
     eval_expr,
-    range_bounds,
     transfer_stmt,
+)
+from repro.analysis.lint.intrinsics import (
+    ISSUE_CALLS,
+    WAIT_CALLS,
+    IssueEffect,
+    call_name,
+    issue_effect,
+    wait_tag_list,
 )
 
 __all__ = [
@@ -45,39 +53,6 @@ __all__ = [
 
 #: Helper-expansion depth cap (a() -> b() -> c() stops here).
 MAX_SUMMARY_DEPTH = 3
-
-#: DMA intrinsics by kind (mirrors rules.py; duplicated here to keep
-#: this module importable without the rule catalog).
-_GET_NAMES = frozenset({"mfc_get", "mfc_getf", "mfc_getb"})
-_PUT_NAMES = frozenset({"mfc_put", "mfc_putf", "mfc_putb"})
-_LIST_NAMES = frozenset({"mfc_getl", "mfc_putl"})
-_WAIT_NAMES = frozenset({"wait_tags", "tag_group_quiet"})
-
-
-@dataclass(frozen=True)
-class IssueEffect:
-    """A DMA command a helper issues, abstracted."""
-
-    kind: str  # "get" | "put"
-    is_list: bool
-    tag: Interval
-    local: Interval
-    size: Interval
-    fence: bool
-    barrier: bool
-    conditional: bool
-    repeated: bool
-    line: int  # in the helper's file (same module)
-
-    def bound(self, conditional: bool) -> IssueEffect:
-        if not conditional or self.conditional:
-            return self
-        return IssueEffect(
-            kind=self.kind, is_list=self.is_list, tag=self.tag,
-            local=self.local, size=self.size, fence=self.fence,
-            barrier=self.barrier, conditional=True, repeated=self.repeated,
-            line=self.line,
-        )
 
 
 @dataclass(frozen=True)
@@ -91,53 +66,6 @@ class WaitEffect:
 
 #: Sentinel: the helper (or something it calls) defeats the analysis.
 UNKNOWN_EFFECTS = None
-
-
-def _call_name(node: ast.Call) -> str | None:
-    func = node.func
-    if isinstance(func, ast.Attribute):
-        return func.attr
-    if isinstance(func, ast.Name):
-        return func.id
-    return None
-
-
-def _get_arg(node: ast.Call, position: int, name: str) -> ast.expr | None:
-    for keyword in node.keywords:
-        if keyword.arg == name:
-            return keyword.value
-    if position < len(node.args):
-        return node.args[position]
-    return None
-
-
-def _flag_set(node: ast.Call, name: str) -> bool:
-    for keyword in node.keywords:
-        if keyword.arg == name:
-            value = keyword.value
-            return bool(
-                isinstance(value, ast.Constant) and value.value is True
-            )
-    return False
-
-
-def _wait_tag_list(node: ast.Call, env: Env, module: ModuleModel) -> tuple[int, ...] | None:
-    expr = _get_arg(node, 0, "tags")
-    if expr is None:
-        return None
-    if isinstance(expr, (ast.List, ast.Tuple, ast.Set)):
-        tags: list[int] = []
-        for element in expr.elts:
-            value = eval_expr(element, env, module)
-            if not value.is_const:
-                return None
-            tags.append(value.value)
-        return tuple(tags)
-    value = eval_expr(expr, env, module)
-    # A whole tuple constant (``wait_tags(tags)`` with tags=(0, 1)) stays
-    # unknown here: the env carries intervals, not tuples.
-    del value
-    return None
 
 
 class ModuleModel:
@@ -282,7 +210,6 @@ class ModuleModel:
                     walk(stmt.body)
                     walk(stmt.orelse)
                 elif isinstance(stmt, (ast.For, ast.AsyncFor)):
-                    from repro.analysis.lint.dataflow import bind_for_target
                     bind_for_target(stmt.target, stmt.iter, env, self)
                     walk(stmt.body)
                     walk(stmt.orelse)
@@ -328,16 +255,13 @@ class ModuleModel:
             nonlocal defeated
             if defeated:
                 return
-            called = _call_name(node)
-            if called in _GET_NAMES or called in _PUT_NAMES:
-                effects.append(_issue_effect(node, called, env, self,
-                                             conditional, repeated))
-            elif called in _LIST_NAMES:
-                effects.append(_list_effect(node, called, env, self,
+            called = call_name(node)
+            if called in ISSUE_CALLS:
+                effects.append(issue_effect(node, called, env, self,
                                             conditional, repeated))
-            elif called in _WAIT_NAMES:
+            elif called in WAIT_CALLS:
                 effects.append(WaitEffect(
-                    tags=_wait_tag_list(node, env, self),
+                    tags=wait_tag_list(node, env, self),
                     conditional=conditional or repeated,
                     line=node.lineno,
                 ))
@@ -349,17 +273,7 @@ class ModuleModel:
                 assert nested is not None
                 for effect in nested:
                     if isinstance(effect, IssueEffect):
-                        effect = effect.bound(conditional)
-                        if repeated and not effect.repeated:
-                            effect = IssueEffect(
-                                kind=effect.kind, is_list=effect.is_list,
-                                tag=effect.tag, local=effect.local,
-                                size=effect.size, fence=effect.fence,
-                                barrier=effect.barrier,
-                                conditional=effect.conditional,
-                                repeated=True, line=effect.line,
-                            )
-                        effects.append(effect)
+                        effects.append(effect.bound(conditional, repeated))
                     else:
                         effects.append(WaitEffect(
                             tags=effect.tags,
@@ -388,7 +302,6 @@ class ModuleModel:
                     walk(stmt.body, True, repeated)
                     walk(stmt.orelse, True, repeated)
                 elif isinstance(stmt, (ast.For, ast.AsyncFor)):
-                    from repro.analysis.lint.dataflow import bind_for_target
                     bind_for_target(stmt.target, stmt.iter, env, self)
                     walk(stmt.body, conditional, True)
                     walk(stmt.orelse, conditional, repeated)
@@ -423,47 +336,6 @@ def _calls_in_expr(expr: ast.expr, conditional: bool, repeated: bool,
         key=lambda n: (n.lineno, n.col_offset),
     ):
         emit(node, conditional, repeated)
-
-
-def _issue_effect(
-    node: ast.Call, called: str, env: Env, module: ModuleModel,
-    conditional: bool, repeated: bool,
-) -> IssueEffect:
-    tag_expr = _get_arg(node, 1, "tag")
-    local_expr = _get_arg(node, 3, "local_offset")
-    return IssueEffect(
-        kind="get" if called in _GET_NAMES else "put",
-        is_list=False,
-        tag=eval_expr(tag_expr, env, module)
-        if tag_expr is not None else Interval.const(0),
-        local=eval_expr(local_expr, env, module)
-        if local_expr is not None else Interval.const(0),
-        size=eval_expr(_get_arg(node, 0, "size"), env, module),
-        fence=called.endswith("f") or _flag_set(node, "fence"),
-        barrier=called.endswith("b") or _flag_set(node, "barrier"),
-        conditional=conditional,
-        repeated=repeated,
-        line=node.lineno,
-    )
-
-
-def _list_effect(
-    node: ast.Call, called: str, env: Env, module: ModuleModel,
-    conditional: bool, repeated: bool,
-) -> IssueEffect:
-    return IssueEffect(
-        kind="get" if called == "mfc_getl" else "put",
-        is_list=True,
-        tag=eval_expr(_get_arg(node, 2, "tag"), env, module)
-        if _get_arg(node, 2, "tag") is not None else Interval.const(0),
-        local=TOP,  # list local cursors are runtime-managed
-        size=TOP,
-        fence=False,
-        barrier=False,
-        conditional=conditional,
-        repeated=repeated,
-        line=node.lineno,
-    )
 
 
 def _spu_param(fn: ast.FunctionDef | ast.AsyncFunctionDef) -> str | None:

@@ -63,16 +63,6 @@ class _FastSlots:
         self.count = 0
         self.queue: deque[Completion] = deque()
 
-    def acquire(self) -> bool:
-        """Claim a slot now if one is free."""
-        if self.count < self.capacity:
-            self.count += 1
-            return True
-        return False
-
-    def wait(self, waiter: Completion) -> None:
-        self.queue.append(waiter)
-
     def release(self, request=None) -> None:
         """Free a slot, handing it straight to the oldest waiter —
         signature-compatible with Resource.release for Mfc._finish."""
@@ -277,33 +267,6 @@ class Mfc:
         if self._fast_slots is not None:
             return self.config.mfc.queue_depth - self._fast_slots.count
         return self.config.mfc.queue_depth - self._slots.count
-
-    # -- coalescing-engine API ---------------------------------------------------
-    #
-    # The fast twins of enqueue/tag_group_quiet.  The waiter is always a
-    # FastActor; model decisions and bookkeeping go through the same
-    # methods the reference path uses (_register_enqueue, _finish, the
-    # tag-waiter lists), so the two engines share one timing model.
-
-    def fast_claim_slot(self, waiter: Completion) -> bool:
-        """Claim a queue slot now (True) or join the slot queue (False);
-        a queued waiter is resumed by the next completion's release."""
-        if self._fast_slots.acquire():
-            return True
-        self._fast_slots.wait(waiter)
-        return False
-
-    def fast_tags_quiet(self, tags: Iterable[int], waiter: Completion) -> bool:
-        """True when every listed tag group is already empty, else park
-        the waiter on the shared tag-waiter list (woken by _finish)."""
-        tags = tuple(tags)
-        for tag in tags:
-            if tag not in self._outstanding:
-                raise CellError(f"unknown tag group {tag}")
-        if all(self._outstanding[tag] == 0 for tag in tags):
-            return True
-        self._tag_waiters.append((waiter, tags))
-        return False
 
     # -- ordering (fence / barrier) ------------------------------------------------
 
@@ -901,23 +864,6 @@ class FastDmaCommand(_FastMover):
         # the tick (nothing the move touches is read by the issuing
         # kernel's remaining same-pop work, and the chain always parks
         # or schedules ahead before completing).
-        queue = env._queue
-        if queue and queue[0][0] == env.now:
-            self._run_callbacks = self._move_begin
-            env._sequence = sequence = env._sequence + 1
-            heappush(queue, (env.now, sequence, self))
-        else:
-            self._move_begin()
-
-    def _restart(self, direction, target, remote_node, nbytes, tag) -> None:
-        """Reissue a retired shell: the constructor minus the fields
-        that survive retirement (env, mfc, requester, done)."""
-        self.tag = tag
-        self._mv_direction = direction
-        self._mv_target = target
-        self._mv_remote = remote_node
-        self.nbytes = nbytes
-        env = self.env
         queue = env._queue
         if queue and queue[0][0] == env.now:
             self._run_callbacks = self._move_begin

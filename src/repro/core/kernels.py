@@ -316,9 +316,10 @@ class FastStreamKernel(FastActor):
             heappush(queue, (target, sequence, self))
 
     def _elem_built(self) -> None:
-        # Mfc.fast_claim_slot, inlined (validation was hoisted to
-        # construction; see __init__), with the slot-grant relay's
-        # zero-delay hop guard open-coded.
+        # Claim an MFC queue slot, or join the slot queue until a
+        # completion's release hands one over.  Validation was hoisted
+        # to construction (see __init__); the slot-grant relay's
+        # zero-delay hop guard is open-coded.
         slots = self._fast_slots
         if slots.count < slots.capacity:
             slots.count += 1
@@ -375,8 +376,8 @@ class FastStreamKernel(FastActor):
         mfc._outstanding[tag] += 1
         pool = mfc._fast_pool
         if pool:
-            # FastDmaCommand._restart, inlined (same fields, same start
-            # relay guard).
+            # Reissue a retired FastDmaCommand shell: the constructor's
+            # per-command fields and its start-relay guard.
             shell = pool.pop()
             shell.tag = tag
             shell._mv_direction = DmaDirection.GET if tag == 0 else DmaDirection.PUT
@@ -473,8 +474,9 @@ class FastStreamKernel(FastActor):
             heappush(queue, (target, sequence, self))
 
     def _sync_ready(self) -> None:
-        # Mfc.fast_tags_quiet, inlined; this kernel's tags are always
-        # registered groups, so the unknown-tag guard cannot fire.
+        # Park on the MFC's tag-waiter list (woken by _finish) unless
+        # every tag group is already empty.  This kernel's tags are
+        # always registered groups, so no unknown-tag check is needed.
         mfc = self.mfc
         outstanding = mfc._outstanding
         for tag in self._tags:

@@ -25,7 +25,6 @@ from repro.sim.core import (
     AllOf,
     AnyOf,
     Completion,
-    Engine,
     Environment,
     Event,
     Interrupt,
@@ -80,7 +79,6 @@ __all__ = [
     "DmaHazard",
     "DmaSanitizer",
     "ENGINES",
-    "Engine",
     "Environment",
     "Event",
     "FastActor",

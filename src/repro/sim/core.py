@@ -81,35 +81,6 @@ class Completion(Protocol):
     def succeed(self, value: Any = None) -> Any: ...
 
 
-@runtime_checkable
-class Engine(Protocol):
-    """The event-loop surface the hardware models and drivers rely on.
-
-    :class:`Environment` is the reference implementation (one event per
-    occurrence); ``repro.sim.engine_fast.FastEnvironment`` is the
-    coalescing one.  ``engine_name`` identifies the implementation in
-    reports, and ``coalescing`` tells models whether to submit interval
-    descriptions (flat callback actors) instead of generator processes.
-    """
-
-    now: int
-    engine_name: str
-    coalescing: bool
-
-    def schedule(self, item: Any, delay: int = 0) -> None: ...
-
-    def peek(self) -> int | None: ...
-
-    def step(self) -> None: ...
-
-    def run(
-        self,
-        until: Any | None = None,
-        max_events: int | None = None,
-        stall_after: int | None = None,
-    ) -> Any: ...
-
-
 class Event:
     """A waitable, one-shot occurrence.
 
@@ -459,9 +430,10 @@ class AnyOf(_Condition):
 class Environment:
     """The event loop.  ``now`` is the current integer simulation time.
 
-    This is the **reference engine** of the :class:`Engine` protocol:
-    one heap slot per occurrence, generator processes, byte-identical
-    ordering — the oracle every other engine is gated against.
+    This is the **reference engine**: one heap slot per occurrence,
+    generator processes, byte-identical ordering — the oracle the
+    coalescing ``repro.sim.engine_fast.FastEnvironment`` is gated
+    against.
 
     ``trace`` is the tracing sink (:mod:`repro.sim.trace`): the shared
     do-nothing :data:`~repro.sim.trace.NULL_TRACE` by default, or a
@@ -472,7 +444,7 @@ class Environment:
     when they are built, so swapping it mid-run has no effect.
     """
 
-    #: Engine-protocol identity (subclasses override).
+    #: Engine identity in reports (subclasses override).
     engine_name = "reference"
     #: True when models should submit coalescible interval descriptions
     #: (flat callback actors) instead of generator processes.
@@ -528,14 +500,6 @@ class Environment:
     def _schedule(self, event: Event, delay: int = 0) -> None:
         self._sequence = sequence = self._sequence + 1
         heappush(self._queue, (self.now + delay, sequence, event))
-
-    def schedule(self, item: Any, delay: int = 0) -> None:
-        """Public scheduling entry of the :class:`Engine` protocol: put
-        any item with a ``_run_callbacks()`` method on the heap at
-        ``now + delay``.  The coalescing engine's actors schedule
-        themselves through this; it is exactly :meth:`_schedule`."""
-        self._sequence = sequence = self._sequence + 1
-        heappush(self._queue, (self.now + delay, sequence, item))
 
     def peek(self) -> int | None:
         """Time of the next scheduled event, or None if the queue is empty."""

@@ -798,3 +798,76 @@ def test_lint_callable_offsets_explain_steps():
     for line, note in finding.steps:
         assert line >= start
         assert note
+
+
+# ---------------------------------------------------------------------------
+# SL101/SL102 on the DMA-state fixpoint (appended: the baseline freezes
+# line numbers above).  Loop back edges, early exits and helper bodies.
+# ---------------------------------------------------------------------------
+
+LOOP_CARRIED_PREFETCH = """
+def program(spu, n):
+    yield from spu.mfc_get(size=4096, tag=0)
+    yield from spu.wait_tags([0])
+    for i in range(n):
+        yield spu.compute(100)
+        yield from spu.mfc_get(size=4096, tag=0)
+    yield from spu.wait_tags([0])
+"""
+
+EARLY_RETURN_IN_FLIGHT = """
+def program(spu, early):
+    yield from spu.mfc_get(size=4096, tag=0)
+    if early:
+        return
+    yield from spu.wait_tags([0])
+"""
+
+GET_IN_HELPER = """
+def _fetch(spu):
+    yield from spu.mfc_get(size=4096, tag=2)
+
+def program(spu):
+    yield from _fetch(spu)
+    yield spu.compute(100)
+    yield from spu.wait_tags([2])
+"""
+
+WAIT_IN_HELPER = """
+def _sync(spu):
+    yield from spu.wait_tags([0])
+
+def program(spu):
+    yield from spu.mfc_get(size=4096, tag=0)
+    yield from _sync(spu)
+    yield spu.compute(100)
+"""
+
+HELPER_CONSUMES_BEFORE_WAIT = """
+def _step(spu):
+    yield from spu.mfc_get(size=4096, tag=1)
+    yield spu.compute(100)
+    yield from spu.wait_tags([1])
+"""
+
+
+@pytest.mark.parametrize(
+    "source, expected",
+    [
+        pytest.param(
+            LOOP_CARRIED_PREFETCH, [("SL101", 6)], id="loop-carried-prefetch"
+        ),
+        pytest.param(
+            EARLY_RETURN_IN_FLIGHT, [("SL102", 3)], id="early-return"
+        ),
+        pytest.param(GET_IN_HELPER, [("SL101", 7)], id="get-in-helper"),
+        pytest.param(WAIT_IN_HELPER, [], id="wait-in-helper"),
+        pytest.param(
+            HELPER_CONSUMES_BEFORE_WAIT, [("SL101", 4)],
+            id="helper-consumes-before-wait",
+        ),
+    ],
+)
+def test_sl1xx_follow_loops_exits_and_helpers(source, expected):
+    findings = lint_only(source, "SL1")
+    assert [(f.rule, f.line) for f in findings] == expected
