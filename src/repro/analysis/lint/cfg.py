@@ -11,7 +11,10 @@ the bottom of a loop into its head), and ``break``/``continue``/
 
 Loop-head blocks carry the originating ``ast.While``/``ast.For`` node so
 the dataflow can bind induction variables (``for i in range(...)``) and
-the SL603 checker can find loop trip counts.
+the SL603 checker can find loop trip counts.  A ``for`` loop's exit is
+reached from the end of every iteration and, separately, from the head
+when the iterator is empty on entry (:attr:`Block.zero_trip`), so a loop
+that provably runs has no path that skips its body.
 """
 
 from __future__ import annotations
@@ -35,6 +38,11 @@ class Block:
     loop: ast.While | ast.For | None = None
     #: True for a loop head's back-edge target (same block as ``loop``).
     is_loop_head: bool = False
+    #: On a ``for`` loop head: the loop-exit block, reached from the
+    #: head only when the iterator is empty on entry (every iteration's
+    #: end has its own edge there), so the dataflow can drop that edge
+    #: for a ``range`` that provably runs.
+    zero_trip: int | None = None
 
     def first_line(self) -> int | None:
         if self.loop is not None:
@@ -187,6 +195,13 @@ class _Builder:
         body_end = self.walk(stmt.body, body_head.id)
         self._loops.pop()
         self.edge(body_end, head.id)  # back edge
+        if isinstance(stmt, (ast.For, ast.AsyncFor)):
+            # The iterator may run out after any iteration: each back
+            # edge's source (the body end, every ``continue``) also
+            # leaves the loop.  preds[0] is the entry edge.
+            head.zero_trip = after.id
+            for pred in head.preds[1:]:
+                self.edge(pred, after.id)
         if stmt.orelse:
             else_end = self.walk(stmt.orelse, after.id)
             if else_end is not None and else_end != after.id:

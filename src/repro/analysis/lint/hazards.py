@@ -46,7 +46,7 @@ import ast
 from collections.abc import Iterable
 from dataclasses import dataclass, field, replace
 
-from repro.analysis.lint.cfg import CFG, build_cfg
+from repro.analysis.lint.cfg import CFG, Block, build_cfg
 from repro.analysis.lint.dataflow import (
     WIDEN_AFTER,
     Env,
@@ -252,7 +252,7 @@ class _Checker:
                     continue
                 state = in_states[block_id].copy()
                 self._transfer_block(cfg, block_id, state)
-                for succ in cfg.block(block_id).succs:
+                for succ in self._succs(cfg.block(block_id), in_states[block_id].env):
                     if succ not in in_states:
                         in_states[succ] = state.copy()
                         changed = True
@@ -282,6 +282,16 @@ class _Checker:
         if self.program and cfg.exit in in_states:
             self._check_exit(in_states[cfg.exit])
         return self.findings
+
+    def _succs(self, block: Block, env: Env) -> list[int]:
+        """A block's successors, less a ``for`` loop's zero-trip exit
+        when its ``range`` provably runs at least once."""
+        if block.zero_trip is None:
+            return block.succs
+        trips = range_trip_count(block.loop.iter, env, self.module)
+        if trips is None or trips.lo is None or trips.lo < 1:
+            return block.succs
+        return [succ for succ in block.succs if succ != block.zero_trip]
 
     # -- block transfer -------------------------------------------------------
 

@@ -32,6 +32,7 @@ from collections.abc import Callable
 from repro.analysis.lint.findings import Finding, Severity
 from repro.analysis.lint.hazards import check_function
 from repro.analysis.lint.intrinsics import (
+    CONSUME_CALLS,
     ELEM_CALLS,
     LIST_CALLS,
     call_name,
@@ -496,13 +497,19 @@ def _dataflow_findings(context: RuleContext) -> list[Finding]:
     manufacture noise.  The one exception is SL101: a helper that
     consumes a buffer it fetched itself before waiting on it is wrong
     in every calling context, so helper bodies are checked for SL101
-    only.
+    only — and SL101 is raised at a direct ``compute``/``write_out_mbox``
+    call, so a helper without one is not checked at all.
     """
     if context._dataflow is None:
         model = ModuleModel(context.tree, context.path)
         findings: list[Finding] = []
         for info in context.functions:
             if not info.is_sim:
+                continue
+            if info.is_helper and not any(
+                isinstance(node, ast.Call) and call_name(node) in CONSUME_CALLS
+                for node in body_without_nested_functions(info.node)
+            ):
                 continue
             spu_param = (
                 info.first_param

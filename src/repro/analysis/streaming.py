@@ -12,7 +12,10 @@ system can actually deliver.
 
 :class:`StreamingComparison` builds both configurations out of real SPU
 programs — mailbox tokens for flow control, double-buffered pulls, DMA
-for every byte moved — and measures end-to-end throughput.
+for every byte moved — and measures end-to-end throughput.  Each
+configuration is one :class:`~repro.core.experiment.ProgramSpec` of
+:func:`streaming_pipelines`, so a sweep executor can serve it from its
+journal or result cache instead of simulating it again.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from collections.abc import Sequence
 from repro.cell.chip import CellChip
 from repro.cell.config import CellConfig
 from repro.cell.errors import ConfigError
-from repro.cell.topology import SpeMapping
+from repro.core.experiment import ProgramSpec, run_program_spec
 from repro.libspe import SpeContext, SpuRuntime
 
 #: Mailbox token kinds (high byte of the 32-bit message).
@@ -129,11 +132,13 @@ def build_pipeline(
     compute_cycles: int = 0,
 ) -> list[dict]:
     """Wire a pull pipeline over the given SPEs; returns the per-stage
-    timing dicts (filled once the chip runs)."""
+    timing dicts (filled once the chip runs).  The sink's ``bytes`` is
+    the data the stream writes back; every other stage's is zero."""
     if len(logical_indices) < 2:
         raise ConfigError("a pipeline needs at least a source and a sink")
     contexts = [SpeContext(chip, logical) for logical in logical_indices]
-    outs: list[dict] = [{} for _ in contexts]
+    outs: list[dict] = [{"bytes": 0} for _ in contexts]
+    outs[-1]["bytes"] = chunk_bytes * n_chunks
     last = len(contexts) - 1
     for position, context in enumerate(contexts):
         if position == 0:
@@ -169,6 +174,24 @@ def build_pipeline(
     return outs
 
 
+def streaming_pipelines(
+    chip: CellChip,
+    pipelines: Sequence[Sequence[int]],
+    chunk_bytes: int,
+    chunks_each: int,
+    compute_cycles: int,
+) -> list[dict]:
+    """The :class:`~repro.core.experiment.ProgramSpec` program: one pull
+    pipeline per entry of ``pipelines`` (logical SPE indices), each
+    streaming ``chunks_each`` chunks; returns every stage's dict."""
+    outs: list[dict] = []
+    for pipeline in pipelines:
+        outs.extend(
+            build_pipeline(chip, pipeline, chunk_bytes, chunks_each, compute_cycles)
+        )
+    return outs
+
+
 @dataclass(frozen=True)
 class StreamingResult:
     """Throughput of one pipeline configuration."""
@@ -182,7 +205,21 @@ class StreamingResult:
 
 
 class StreamingComparison:
-    """One 8-SPE stream versus two 4-SPE streams over the same data."""
+    """One 8-SPE stream versus two 4-SPE streams over the same data.
+
+    :attr:`CONFIGURATIONS` maps each result key to its label and its
+    pipelines (tuples of logical SPE indices).
+
+    ``executor`` (duck-typed: :class:`~repro.runtime.parallel.SweepExecutor`)
+    serves each configuration's :class:`~repro.core.experiment.ProgramSpec`
+    from its journal or result cache when it can; ``None`` simulates both
+    inline.  The results are identical either way.
+    """
+
+    CONFIGURATIONS = {
+        "single": ("one 8-SPE stream", (tuple(range(8)),)),
+        "double": ("two 4-SPE streams", ((0, 1, 2, 3), (4, 5, 6, 7))),
+    }
 
     def __init__(
         self,
@@ -191,45 +228,49 @@ class StreamingComparison:
         chunks_per_stream_unit: int = 64,
         compute_cycles: int = 0,
         seed: int = 1234,
+        executor=None,
     ):
         self.config = config or CellConfig.paper_blade()
         self.chunk_bytes = chunk_bytes
         self.chunks = chunks_per_stream_unit
         self.compute_cycles = compute_cycles
         self.seed = seed
+        self.executor = executor
 
-    def _run(self, pipelines: Sequence[Sequence[int]], label: str) -> StreamingResult:
-        chip = CellChip(
+    def spec(self, pipelines: Sequence[Sequence[int]]) -> ProgramSpec:
+        """The run of one configuration, as a picklable spec."""
+        total_chunks = self.chunks * sum(len(pipeline) for pipeline in pipelines)
+        args = {
+            "pipelines": tuple(tuple(pipeline) for pipeline in pipelines),
+            "chunk_bytes": self.chunk_bytes,
+            "chunks_each": total_chunks // len(pipelines),
+            "compute_cycles": self.compute_cycles,
+        }
+        return ProgramSpec(
+            program=streaming_pipelines,
+            args=tuple(sorted(args.items())),
             config=self.config,
-            mapping=SpeMapping.random(self.seed, self.config.n_spes),
+            seed=self.seed,
         )
-        total_chunks = self.chunks * len(
-            [spe for pipeline in pipelines for spe in pipeline]
+
+    def _run(self, label: str, pipelines: Sequence[Sequence[int]]) -> StreamingResult:
+        spec = self.spec(pipelines)
+        sample = (
+            run_program_spec(spec) if self.executor is None
+            else self.executor.program_sample(spec)
         )
-        chunks_each = total_chunks // len(pipelines)
-        outs: list[dict] = []
-        for pipeline in pipelines:
-            outs.extend(
-                build_pipeline(
-                    chip, pipeline, self.chunk_bytes, chunks_each, self.compute_cycles
-                )
-            )
-        chip.run()
-        elapsed = max(out["end"] for out in outs) - min(out["start"] for out in outs)
-        total_bytes = self.chunk_bytes * chunks_each * len(pipelines)
         return StreamingResult(
             label=label,
             n_pipelines=len(pipelines),
             spes_per_pipeline=len(pipelines[0]),
-            total_bytes=total_bytes,
-            cycles=elapsed,
-            gbps=self.config.clock.gbps(total_bytes, elapsed),
+            total_bytes=sample.nbytes,
+            cycles=sample.cycles,
+            gbps=sample.gbps,
         )
 
     def run(self) -> dict[str, StreamingResult]:
         """Both configurations, same total data volume."""
-        single = self._run([list(range(8))], "one 8-SPE stream")
-        double = self._run(
-            [[0, 1, 2, 3], [4, 5, 6, 7]], "two 4-SPE streams"
-        )
-        return {"single": single, "double": double}
+        return {
+            key: self._run(label, pipelines)
+            for key, (label, pipelines) in self.CONFIGURATIONS.items()
+        }

@@ -13,6 +13,11 @@ SHA-256 of a canonical JSON rendering of
 * the **code version**: a digest over every ``.py`` file of the
   ``repro`` package.
 
+A :class:`~repro.core.experiment.ProgramSpec` (one run of a libspe
+program, such as the streaming comparison's pipelines) is keyed the same
+way over its program name and arguments instead of the workloads; its
+``"program"`` field keeps it from ever sharing a repetition's key.
+
 (:func:`spec_key` builds the key; :class:`~repro.runtime.journal.SweepJournal`
 shares it, so a journal entry and a cache entry for the same repetition
 always agree.)
@@ -94,15 +99,21 @@ def repro_code_version() -> str:
 
 
 def spec_key(spec, code_version: str) -> str:
-    """Content address of one repetition under one code version.
+    """Content address of one spec (a
+    :class:`~repro.core.experiment.RunSpec` or a
+    :class:`~repro.core.experiment.ProgramSpec`) under one code version.
 
     Shared by :class:`ResultCache` and
     :class:`~repro.runtime.journal.SweepJournal`, so the two stores
-    address the same repetition identically.
+    address the same spec identically.  The hashed text is exactly
+    ``json.dumps({"code": code_version, **spec.canonical()},
+    sort_keys=True, separators=(",", ":"))``, assembled from the spec's
+    pre-rendered fields (``canonical_json()``) rather than re-encoding
+    the whole config for every spec.
     """
-    payload = {"code": code_version, **spec.canonical()}
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()
+    fields = {"code": json.dumps(code_version), **spec.canonical_json()}
+    blob = ",".join(f'"{name}":{fields[name]}' for name in sorted(fields))
+    return hashlib.sha256(("{" + blob + "}").encode()).hexdigest()
 
 
 def decode_sample(payload) -> BandwidthSample | None:

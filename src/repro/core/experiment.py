@@ -20,8 +20,10 @@ restores 32 MiB.
 
 from __future__ import annotations
 
+import functools
+import json
+from collections.abc import Callable, Sequence
 from dataclasses import asdict, dataclass, field
-from collections.abc import Sequence
 
 from repro.cell.chip import CellChip
 from repro.cell.config import CellConfig
@@ -33,6 +35,16 @@ from repro.libspe import SpeContext
 
 #: Assignment of one workload to one logical SPE.
 Assignment = tuple[int, DmaWorkload]
+
+
+@functools.lru_cache(maxsize=256)
+def json_text(value) -> str:
+    """Canonical JSON text (sorted keys, no spaces) of a frozen config or
+    workload, memoised per distinct value: a sweep shares one config and
+    a few workloads across all its specs, and rendering them was most of
+    a spec key's cost.  The text is immutable, so callers share nothing
+    they could change.  Values that compare equal share one text."""
+    return json.dumps(asdict(value), sort_keys=True, separators=(",", ":"))
 
 
 @dataclass(frozen=True)
@@ -66,6 +78,74 @@ class RunSpec:
             ],
             "seed": self.seed,
             "unrolled": self.unrolled,
+        }
+
+    def canonical_json(self) -> dict[str, str]:
+        """:meth:`canonical` with each field already rendered as
+        canonical JSON text, the config and workloads through the
+        memoised :func:`json_text`; the key is assembled from it."""
+        assignments = ",".join(
+            f"[{json.dumps(logical)},{json_text(workload)}]"
+            for logical, workload in self.assignments
+        )
+        return {
+            "config": json_text(self.config),
+            "assignments": f"[{assignments}]",
+            "seed": json.dumps(self.seed),
+            "unrolled": json.dumps(self.unrolled),
+        }
+
+
+@dataclass(frozen=True)
+class ProgramSpec:
+    """One run of a libspe program on a fresh chip, as a picklable value.
+
+    ``program`` is a module-level setup function ``(chip, **args) ->
+    outs``: it loads SPU programs onto the chip and returns their
+    timing dicts (``start``, ``end`` and ``bytes`` once the chip has
+    run).  It pickles by qualified name, so no registry is needed.
+    ``args`` are its keyword arguments as ``(name, value)`` pairs sorted
+    by name, with JSON-able values.  :func:`run_program_spec` is a pure
+    function of this value, which is what lets the sweep journal and
+    the result cache serve it like a :class:`RunSpec`.
+    """
+
+    program: Callable[..., list[dict]]
+    args: tuple[tuple[str, object], ...]
+    config: CellConfig
+    seed: int
+
+    def __post_init__(self):
+        if "<" in self.program.__qualname__:
+            raise ConfigError(f"program {self.name} is not a module-level function")
+        names = [name for name, _ in self.args]
+        if names != sorted(set(names)):
+            raise ConfigError(f"program args must be sorted by unique name, got {names}")
+
+    @property
+    def name(self) -> str:
+        """The program's dotted name: its identity in the key."""
+        return f"{self.program.__module__}.{self.program.__qualname__}"
+
+    def canonical(self) -> dict:
+        """Canonical JSON-able payload, hashed into the key like
+        :meth:`RunSpec.canonical`.  No :class:`RunSpec` payload has a
+        ``"program"`` field, so the two kinds never share a key."""
+        return {
+            "program": self.name,
+            "args": dict(self.args),
+            "config": asdict(self.config),
+            "seed": self.seed,
+        }
+
+    def canonical_json(self) -> dict[str, str]:
+        """:meth:`canonical` rendered field by field, as
+        :meth:`RunSpec.canonical_json`."""
+        return {
+            "program": json.dumps(self.name),
+            "args": json.dumps(dict(self.args), sort_keys=True, separators=(",", ":")),
+            "config": json_text(self.config),
+            "seed": json.dumps(self.seed),
         }
 
 
@@ -133,14 +213,7 @@ def run_spec_report(spec: RunSpec, engine: str = "reference") -> EngineReport:
             context.load(dma_stream_kernel, workload, out, partner)
         outs.append(out)
     chip.run()
-    total_bytes = sum(out["bytes"] for out in outs)
-    elapsed = max(out["end"] for out in outs) - min(out["start"] for out in outs)
-    sample = BandwidthSample(
-        gbps=spec.config.clock.gbps(total_bytes, elapsed),
-        nbytes=total_bytes,
-        cycles=elapsed,
-        seed=spec.seed,
-    )
+    sample = _sample(spec.config, spec.seed, outs)
     env = chip.env
     fastforward = getattr(env, "fastforward", None)
     if fastforward is None:
@@ -152,6 +225,33 @@ def run_spec_report(spec: RunSpec, engine: str = "reference") -> EngineReport:
         windows_warped=fastforward.windows_warped,
         cycles_warped=fastforward.cycles_warped,
     )
+
+
+def run_program_spec(spec: ProgramSpec) -> BandwidthSample:
+    """Run one program on a fresh reference-engine chip with the spec's
+    seeded placement; the :class:`ProgramSpec` counterpart of
+    :func:`run_spec`."""
+    chip = CellChip(
+        config=spec.config,
+        mapping=SpeMapping.random(spec.seed, spec.config.n_spes),
+    )
+    outs = spec.program(chip, **dict(spec.args))
+    chip.run()
+    return _sample(spec.config, spec.seed, outs)
+
+
+def _sample(config: CellConfig, seed: int, outs: list[dict]) -> BandwidthSample:
+    """The paper's bandwidth of one run: every SPE's bytes over the wall
+    interval from the first SPE's start to the last SPE's end."""
+    total_bytes = sum(out["bytes"] for out in outs)
+    elapsed = max(out["end"] for out in outs) - min(out["start"] for out in outs)
+    return BandwidthSample(
+        gbps=config.clock.gbps(total_bytes, elapsed),
+        nbytes=total_bytes,
+        cycles=elapsed,
+        seed=seed,
+    )
+
 
 #: Fewest commands a timed region may contain (steady-state guarantee).
 MIN_COMMANDS = 32

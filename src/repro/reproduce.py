@@ -16,8 +16,10 @@ Repetitions are independent simulations; ``--jobs N`` (default: one per
 CPU core) fans them across a process pool with a deterministic ordered
 merge, so reports are byte-identical for every N (``--jobs 1`` is the
 serial path).  Completed repetitions are memoised in ``.repro-cache/``
-keyed by machine config, workloads, seed and code version; a re-run
-after an unrelated edit (or none) skips straight to the reports.
+keyed by machine config, workloads, seed and code version, and so are
+the streaming comparison's two pipeline runs (keyed by program,
+arguments, config, seed and code version); a re-run after an unrelated
+edit (or none) simulates nothing and skips straight to the reports.
 ``--no-cache`` bypasses the cache, ``--cache-dir`` relocates it,
 ``--cache-max-mb`` caps it with least-recently-used eviction.
 
@@ -26,10 +28,11 @@ crashes are detected and re-dispatched (bounded by ``--retries``);
 ``--timeout`` adds a per-repetition wall-clock bound that catches hung
 workers; ``--partial`` returns every completed cell plus a structured
 failure report instead of aborting a nearly-done sweep.  ``--resume``
-journals every completed repetition to ``<outdir>/sweep-journal.jsonl``
-(``--journal PATH`` relocates it) and, on a re-run after a crash or
-SIGKILL, replays the journal and re-executes only the remainder —
-byte-identical to an uninterrupted run::
+journals every completed repetition (and both pipeline runs) to
+``<outdir>/sweep-journal.jsonl`` (``--journal PATH`` relocates it) and,
+on a re-run after a crash or SIGKILL, replays the journal and
+re-executes only the remainder — byte-identical to an uninterrupted
+run::
 
     python -m repro.reproduce --quick --resume          # crash-safe sweep
     # ... SIGKILL / OOM / power loss ...
@@ -376,10 +379,11 @@ def run_all(
 ) -> list[validation.ClaimCheck]:
     """Run every experiment and write the reports.
 
-    ``executor`` routes each experiment's repetitions through a
-    :class:`~repro.runtime.parallel.SweepExecutor` (process fan-out
-    and/or the persistent result cache); ``None`` keeps the historical
-    inline-serial path.
+    ``executor`` routes each experiment's repetitions, and the
+    streaming comparison's two program runs, through a
+    :class:`~repro.runtime.parallel.SweepExecutor` (process fan-out,
+    the journal and/or the persistent result cache); ``None`` keeps the
+    historical inline-serial path.
     """
     experiments = sweep_experiments(preset)
     os.makedirs(outdir, exist_ok=True)
@@ -453,7 +457,9 @@ def run_all(
     checks += guarded(lambda: validation.check_cycle(cycle, couples))
 
     print("[8/8] streaming guideline + section-5 rules")
-    streams = StreamingComparison(chunks_per_stream_unit=32).run()
+    streams = StreamingComparison(
+        chunks_per_stream_unit=32, executor=executor
+    ).run()
     stream_text = "\n".join(
         f"{result.label}: {result.gbps:.2f} GB/s"
         for result in streams.values()
@@ -738,11 +744,8 @@ def _main(args: argparse.Namespace) -> int:
     if executor.failures:
         report = SweepFailureReport(
             failures=executor.failures,
-            total=executor.simulated + executor.journal_hits
-            + len(executor.failures)
-            + (executor.cache.hits if executor.cache is not None else 0),
-            completed=executor.simulated + executor.journal_hits
-            + (executor.cache.hits if executor.cache is not None else 0),
+            total=executor.completed + len(executor.failures),
+            completed=executor.completed,
         )
         print(report.summary())
     trace_ok = True

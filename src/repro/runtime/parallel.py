@@ -28,7 +28,11 @@ deterministic and bit-identical to the serial path:
   journal and cache, before any simulation — while out-of-domain
   repetitions simulate and feed their truth back into the model's
   training set.  Predicted samples are never written to the cache or
-  the journal, so both stores stay pure simulator truth.
+  the journal, so both stores stay pure simulator truth;
+* a :class:`~repro.core.experiment.ProgramSpec` (one run of a libspe
+  program, such as the streaming comparison's) is served by
+  :meth:`SweepExecutor.program_sample`: journal, then cache, then a
+  simulation in this process — never the surrogate or the pool.
 
 With ``jobs=1`` no pool is created and repetitions run inline — the
 historical serial path, used as the determinism oracle by the tests.
@@ -85,7 +89,9 @@ from repro.core.experiment import (
     EngineReport,
     Experiment,
     ExperimentResult,
+    ProgramSpec,
     RunSpec,
+    run_program_spec,
     run_spec_report,
 )
 from repro.core.results import BandwidthSample, BandwidthStats
@@ -201,7 +207,15 @@ class SweepExecutor:
                 run_spec_report if engine == "reference"
                 else functools.partial(run_spec_report, engine=engine)
             )
+        #: Sweep repetitions simulated, replayed from the journal and
+        #: served by the cache (program specs count in none of them).
         self.simulated = 0
+        self.journal_hits = 0
+        self.cache_hits = 0
+        #: Program specs asked of :meth:`program_sample`, and how many of
+        #: them neither store could serve.
+        self.programs = 0
+        self.programs_simulated = 0
         #: Event accounting aggregated over simulated repetitions
         #: (journal/cache/surrogate hits run no engine, so they add
         #: nothing here).
@@ -209,7 +223,6 @@ class SweepExecutor:
         self.events_elided = 0
         self.windows_warped = 0
         self.retried = 0
-        self.journal_hits = 0
         #: Optional :class:`~repro.analysis.surrogate.SurrogateModel`.
         #: When attached, in-domain repetitions are answered by the
         #: model (after journal/cache, before any simulation) and
@@ -287,6 +300,15 @@ class SweepExecutor:
             self._pending = []
         return result
 
+    @property
+    def completed(self) -> int:
+        """Sweep repetitions that produced a sample, whichever tier
+        served them."""
+        return (
+            self.simulated + self.journal_hits + self.cache_hits
+            + self.surrogate_hits
+        )
+
     # -- execution -------------------------------------------------------------
 
     def samples(self, specs: list[RunSpec]) -> list[BandwidthSample | None]:
@@ -301,18 +323,7 @@ class SweepExecutor:
         cache, journal, surrogate = self.cache, self.journal, self.surrogate
         out: list[BandwidthSample | None] = [None] * len(specs)
         misses: list[int] = []
-        # Compute each key once and thread it through get *and* the
-        # put/record after a miss — canonical JSON + SHA-256 over the
-        # full config is not free at cold-sweep scale.  The journal
-        # shares the cache's key function, so one digest serves both
-        # whenever their code versions agree.
-        ckeys = [cache.key(spec) for spec in specs] if cache is not None else []
-        if journal is None:
-            jkeys = []
-        elif cache is not None and journal.code_version == cache.code_version:
-            jkeys = ckeys
-        else:
-            jkeys = [journal.key(spec) for spec in specs]
+        ckeys, jkeys = self._keys(specs)
         for index, spec in enumerate(specs):
             if journal is not None:
                 sample = journal.get(spec, key=jkeys[index])
@@ -323,6 +334,7 @@ class SweepExecutor:
             if cache is not None:
                 sample = cache.get(spec, key=ckeys[index])
                 if sample is not None:
+                    self.cache_hits += 1
                     out[index] = sample
                     if journal is not None:
                         journal.record(spec, sample, key=jkeys[index])
@@ -363,6 +375,46 @@ class SweepExecutor:
             if failures:
                 self._conclude(failures, out, len(specs))
         return out
+
+    def program_sample(self, spec: ProgramSpec) -> BandwidthSample:
+        """One program run's sample: replayed from the journal, else
+        served by the cache (and journalled), else simulated in this
+        process and written to both stores.
+
+        The surrogate and the ``target`` override never see a
+        :class:`~repro.core.experiment.ProgramSpec` (both speak
+        :class:`~repro.core.experiment.RunSpec`), and it counts in none
+        of ``simulated``, ``journal_hits`` and ``cache_hits``; ``programs``
+        and ``programs_simulated`` count it instead.
+        """
+        cache, journal = self.cache, self.journal
+        self.programs += 1
+        ckeys, jkeys = self._keys([spec])
+        sample = journal.get(spec, key=jkeys[0]) if journal is not None else None
+        if sample is not None:
+            return sample
+        sample = cache.get(spec, key=ckeys[0]) if cache is not None else None
+        if sample is None:
+            self.programs_simulated += 1
+            sample = run_program_spec(spec)
+            if cache is not None:
+                cache.put(spec, sample, key=ckeys[0])
+        if journal is not None:
+            journal.record(spec, sample, key=jkeys[0])
+        return sample
+
+    def _keys(self, specs: Sequence) -> tuple[list[str], list[str]]:
+        """Each spec's cache and journal key (empty lists for an absent
+        store), computed once so a lookup and the put/record after a
+        miss share it.  The journal shares the cache's key function, so
+        one digest serves both whenever their code versions agree."""
+        cache, journal = self.cache, self.journal
+        ckeys = [cache.key(spec) for spec in specs] if cache is not None else []
+        if journal is None:
+            return ckeys, []
+        if cache is not None and journal.code_version == cache.code_version:
+            return ckeys, ckeys
+        return ckeys, [journal.key(spec) for spec in specs]
 
     def _harvest(self, result):
         """Unwrap an :class:`~repro.core.experiment.EngineReport` into
@@ -590,6 +642,11 @@ class SweepExecutor:
                     f"{self.windows_warped} warp(s))"
                 )
             parts.append(events)
+        if self.programs:
+            parts.append(
+                f"programs: {self.programs - self.programs_simulated} served"
+                f" / {self.programs_simulated} simulated"
+            )
         if self.retried:
             parts.append(f"retried={self.retried}")
         if self.journal is not None:

@@ -7,12 +7,13 @@ import warnings
 import pytest
 
 from repro import reproduce
+from repro.analysis.surrogate_store import training_specs
 from repro.core.cache import repro_code_version
 from repro.core.experiment import run_spec
 from repro.runtime.journal import SweepJournal
 from repro.runtime.parallel import SweepExecutor
 
-from tests.test_parallel_and_cache import make_spec
+from tests.test_parallel_and_cache import forbid_program_runs, make_spec
 
 
 @pytest.fixture
@@ -152,7 +153,9 @@ def test_executor_accepts_journal_instance_and_does_not_close_it(tmp_path):
     assert SweepJournal(journal_path(tmp_path)).loaded == 2
 
 
-def test_run_all_with_journal_matches_run_without(tmp_path, micro_preset):
+def test_run_all_with_journal_matches_run_without(
+    tmp_path, micro_preset, monkeypatch, capsys
+):
     plain_dir = str(tmp_path / "plain")
     journal_dir = str(tmp_path / "journalled")
 
@@ -160,9 +163,17 @@ def test_run_all_with_journal_matches_run_without(tmp_path, micro_preset):
                            "--outdir", plain_dir]) in (0, 1)
     assert reproduce.main(["--quick", "--no-cache", "--jobs", "1",
                            "--outdir", journal_dir, "--resume"]) in (0, 1)
-    # Resume over the now-complete journal: everything replays.
+    # Resume over the now-complete journal: everything replays, the
+    # streaming comparison's two programs included, and the footer
+    # counts only the sweep's repetitions.
+    forbid_program_runs(monkeypatch)
+    capsys.readouterr()
     assert reproduce.main(["--quick", "--no-cache", "--jobs", "1",
                            "--outdir", journal_dir, "--resume"]) in (0, 1)
+    footer = capsys.readouterr().out
+    assert "simulated=0," in footer
+    assert "programs: 2 served / 0 simulated" in footer
+    assert f"journal: {len(training_specs('quick'))} replayed" in footer
 
     def read_tree(outdir):
         out = {}

@@ -871,3 +871,51 @@ def _step(spu):
 def test_sl1xx_follow_loops_exits_and_helpers(source, expected):
     findings = lint_only(source, "SL1")
     assert [(f.rule, f.line) for f in findings] == expected
+
+
+# ---------------------------------------------------------------------------
+# A for loop over a range that provably runs has no zero-trip exit path
+# (appended: the baseline freezes line numbers above).
+# ---------------------------------------------------------------------------
+
+WAIT_IN_LOOP = """
+{prelude}
+def program(spu{params}):
+    yield from spu.mfc_get(size=4096, tag=0)
+    for _ in range({bound}):
+        yield from spu.wait_tags([0])
+    yield spu.compute(1)
+"""
+
+
+@pytest.mark.parametrize(
+    "prelude, params, bound, expected",
+    [
+        pytest.param("", "", "4", [], id="literal"),
+        pytest.param("ROUNDS = 4", "", "ROUNDS", [], id="module-constant"),
+        pytest.param(
+            "", ", n", "n", [("SL102", 4), ("SL101", 7)], id="unknown"
+        ),
+        pytest.param("", "", "0", [("SL102", 4), ("SL101", 7)], id="empty"),
+    ],
+)
+def test_sl1xx_loop_that_provably_runs_has_no_zero_trip_path(
+    prelude, params, bound, expected
+):
+    source = WAIT_IN_LOOP.format(prelude=prelude, params=params, bound=bound)
+    findings = lint_only(source, "SL1")
+    assert [(f.rule, f.line) for f in findings] == expected
+
+
+def test_sl601_loop_that_provably_runs_has_no_zero_trip_path():
+    source = """
+def program(spu):
+    yield from spu.mfc_get(size=4096, tag=0, local_offset=0)
+    for _ in range(4):
+        yield from spu.wait_tags([0])
+    yield from spu.mfc_get(size=4096, tag=1, local_offset=0)
+    yield from spu.wait_tags([1])
+"""
+    assert lint_only(source, "SL6") == []
+    unknown = source.replace("(spu)", "(spu, n)").replace("range(4)", "range(n)")
+    assert [(f.rule, f.line) for f in lint_only(unknown, "SL6")] == [("SL601", 6)]

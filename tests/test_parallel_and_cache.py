@@ -6,6 +6,7 @@ byte-identical report files and the same validation verdicts as the
 historical serial path.
 """
 
+import hashlib
 import json
 import os
 import pickle
@@ -13,11 +14,21 @@ import pickle
 import pytest
 
 from repro import reproduce
+from repro.analysis import streaming
+from repro.analysis.streaming import StreamingComparison, streaming_pipelines
+from repro.analysis.surrogate_store import training_specs
 from repro.cell.config import CellConfig
-from repro.core.cache import ResultCache, repro_code_version
-from repro.core.experiment import ExperimentResult, RunSpec, run_spec
+from repro.cell.errors import ConfigError
+from repro.core.cache import ResultCache, repro_code_version, spec_key
+from repro.core.experiment import (
+    ExperimentResult,
+    ProgramSpec,
+    RunSpec,
+    run_spec,
+)
 from repro.core.kernels import DmaWorkload
 from repro.core.results import BandwidthSample, BandwidthStats, SweepTable
+from repro.runtime import parallel
 from repro.runtime.parallel import DeferredStats, SweepExecutor, default_jobs
 
 
@@ -67,6 +78,28 @@ class _OneCell:
         )
 
 
+def explode(*args, **kwargs):
+    """Stands in for a simulation that must not happen."""
+    raise AssertionError("simulated a spec a tier should have served")
+
+
+def forbid_program_runs(monkeypatch):
+    """Make every simulation of a ProgramSpec fail, served or inline."""
+    monkeypatch.setattr(parallel, "run_program_spec", explode)
+    monkeypatch.setattr(streaming, "run_program_spec", explode)
+
+
+class _RefusingSurrogate:
+    """A surrogate that must never be asked."""
+
+    def predict(self, spec):
+        raise AssertionError(f"surrogate asked for {spec!r}")
+
+
+def small_comparison(executor=None):
+    return StreamingComparison(chunks_per_stream_unit=4, executor=executor)
+
+
 def read_tree(outdir):
     """{relative path: bytes} for every file under ``outdir``."""
     tree = {}
@@ -87,6 +120,53 @@ class TestRunSpec:
     def test_run_spec_is_pure(self):
         spec = make_spec()
         assert run_spec(spec) == run_spec(spec)
+
+
+class TestProgramSpec:
+    def test_pickles_round_trip(self):
+        spec = small_comparison().spec(((0, 1), (2, 3)))
+        assert pickle.loads(pickle.dumps(spec)) == spec
+
+    def test_rejects_unsorted_args_and_local_programs(self):
+        def local_program(chip):
+            return []
+
+        config = CellConfig.paper_blade()
+        with pytest.raises(ConfigError, match="sorted"):
+            ProgramSpec(streaming_pipelines, (("seed", 1), ("chunk_bytes", 2)),
+                        config, 0)
+        with pytest.raises(ConfigError, match="sorted"):
+            ProgramSpec(streaming_pipelines, (("a", 1), ("a", 2)), config, 0)
+        with pytest.raises(ConfigError, match="module-level"):
+            ProgramSpec(local_program, (), config, 0)
+
+    def test_comparison_same_with_and_without_executor(self, tmp_path, monkeypatch):
+        """Journal first, then cache, then simulate; the surrogate and
+        the target override are never asked, and the repetition
+        counters stay untouched."""
+        inline = small_comparison().run()
+        cache_dir = str(tmp_path / "cache")
+        journal = str(tmp_path / "journal.jsonl")
+        cold = SweepExecutor(jobs=1, cache=ResultCache(cache_dir),
+                             journal=journal, target=explode)
+        cold.surrogate = _RefusingSurrogate()
+        with cold:
+            assert small_comparison(cold).run() == inline
+        assert (cold.cache.hits, cold.cache.misses) == (0, 2)
+        forbid_program_runs(monkeypatch)
+        replay_cache = ResultCache(cache_dir)
+        with SweepExecutor(jobs=1, cache=replay_cache, journal=journal) as replay:
+            assert small_comparison(replay).run() == inline
+        assert (replay_cache.hits, replay_cache.misses) == (0, 0)
+        with SweepExecutor(jobs=1, cache=ResultCache(cache_dir)) as warm:
+            assert small_comparison(warm).run() == inline
+        assert warm.cache.hits == 2
+        for executor in (cold, replay, warm):
+            assert (executor.simulated, executor.journal_hits,
+                    executor.cache_hits) == (0, 0, 0)
+        assert "programs: 0 served / 2 simulated" in cold.describe()
+        assert "programs: 2 served / 0 simulated" in replay.describe()
+        assert (warm.programs, warm.programs_simulated) == (2, 0)
 
 
 class TestSweepExecutor:
@@ -233,6 +313,37 @@ class TestResultCache:
         assert warm.simulated == 0
         assert cache.key_calls == len(specs)
 
+    def test_spec_key_is_the_plain_canonical_encoding(self):
+        """Keys are on-disk format: the key assembled from pre-rendered
+        fields must hash exactly the plain encoding of canonical(), for
+        every spec the quick and default sweeps and the streaming
+        comparison run."""
+        comparison = StreamingComparison(chunks_per_stream_unit=32)
+        specs = [
+            *training_specs("quick"),
+            *training_specs("default"),
+            *(comparison.spec(pipelines)
+              for _label, pipelines in comparison.CONFIGURATIONS.values()),
+        ]
+        for spec in specs:
+            blob = json.dumps({"code": "v", **spec.canonical()},
+                              sort_keys=True, separators=(",", ":"))
+            assert spec_key(spec, "v") == hashlib.sha256(blob.encode()).hexdigest()
+
+    def test_run_spec_keys_are_pinned(self):
+        # Existing cache entries and journals are addressed by these.
+        assert spec_key(make_spec(), "pinned") == (
+            "90258a8b66097d06c2f53eb31db2534f70356177296f521b0cee50b120377c8b"
+        )
+        assert spec_key(make_spec(7, n_spes=3, element_bytes=512), "pinned") == (
+            "61b9c277e4a9c109fcf24a33f307e107ae3d8c4759cd9a0d96ff8565212e204a"
+        )
+
+    def test_program_and_run_spec_keys_differ(self):
+        run = make_spec(seed=1234)
+        program = ProgramSpec(streaming_pipelines, (), run.config, run.seed)
+        assert spec_key(program, "v") != spec_key(run, "v")
+
     def test_repro_code_version_is_stable_in_process(self):
         assert repro_code_version() == repro_code_version()
         assert len(repro_code_version()) == 64
@@ -303,15 +414,23 @@ class TestReproduceEquivalence:
             (c.claim_id, c.passed) for c in checks2
         ]
 
-    def test_cache_hit_rerun_outputs_byte_identical(self, tmp_path, micro_preset):
+    def test_cache_hit_rerun_outputs_byte_identical(
+        self, tmp_path, micro_preset, monkeypatch
+    ):
         cache_dir = str(tmp_path / "cache")
         cold_cache = ResultCache(cache_dir)
         checks1, cold = self.run_all(tmp_path / "cold", jobs=1, cache=cold_cache)
+        repetitions = len(training_specs("quick"))
         assert cold.simulated > 0
+        assert cold.simulated + cold.cache_hits == repetitions
+        # The rerun simulates nothing: every repetition and the
+        # streaming comparison's two programs come from the cache, and
+        # the executor counts only the repetitions.
+        forbid_program_runs(monkeypatch)
         warm_cache = ResultCache(cache_dir)
         checks2, warm = self.run_all(tmp_path / "warm", jobs=1, cache=warm_cache)
-        # Every repetition of the rerun is served from the cache.
-        assert warm.simulated == 0 and warm_cache.hits > 0
+        assert warm.simulated == 0 and warm.cache_hits == repetitions
+        assert (warm_cache.hits, warm_cache.misses) == (repetitions + 2, 0)
         assert read_tree(tmp_path / "cold") == read_tree(tmp_path / "warm")
         assert [(c.claim_id, c.passed) for c in checks1] == [
             (c.claim_id, c.passed) for c in checks2

@@ -5,6 +5,8 @@ jobs-resolution rules shared with the CLI."""
 import pytest
 
 from repro import reproduce
+from repro.analysis.streaming import StreamingComparison
+from repro.core.cache import ResultCache
 from repro.core.experiment import ExperimentResult
 from repro.core.results import SweepTable
 from repro.runtime.parallel import SweepExecutor, default_jobs
@@ -169,6 +171,32 @@ class TestPartialRun:
         assert (1,) not in table.cells
         assert any("cell dropped" in note for note in result.notes)
         assert executor.failures
+
+    def test_completed_counts_repetitions_only(self, tmp_path):
+        """The failure report's totals come from the executor: a program
+        run served by the same cache is not a completed repetition."""
+        specs = [make_spec(seed, n_elements=4, n_spes=1) for seed in (1, 2, 3)]
+        program = StreamingComparison(chunks_per_stream_unit=4).spec(((0, 1),))
+        with SweepExecutor(jobs=1, cache=ResultCache(str(tmp_path))) as first:
+            first.samples(specs[:1])
+            first.program_sample(program)
+
+        def fail_seed_two(spec):
+            if spec.seed == 2:
+                raise RuntimeError("chaos")
+            from repro.core.experiment import run_spec
+
+            return run_spec(spec)
+
+        with SweepExecutor(jobs=1, cache=ResultCache(str(tmp_path)),
+                           policy=HostRetryPolicy(retries=0),
+                           target=fail_seed_two,
+                           partial_results=True) as executor:
+            executor.samples(list(specs))
+            executor.program_sample(program)
+        assert executor.cache.hits == 2  # seed 1 and the program
+        assert executor.completed == 2  # seed 1 served, seed 3 simulated
+        assert len(executor.failures) == 1
 
 
 class TestFailureReport:
